@@ -30,16 +30,22 @@ from .classifier import (
     TableClassifier,
     class_view,
     core_literals,
+    ranks_in,
 )
 from .derived import card_min, dist_min, feat_min
 from .explain import (
     ExplanationSet,
     c_suf,
+    class_context,
+    core_offenders,
     explanation_set_from_json,
     g_nec,
     g_suf,
+    overwrite_flips,
     s_nec,
     s_suf,
+    sceptical_offenders,
+    strong_offenders,
 )
 from .theory import (
     PartialAssignment,
@@ -133,10 +139,6 @@ def _outputs(
     return {q: explainer(q) for q in suite}
 
 
-def _core_of(query: Query) -> PartialAssignment:
-    return core_literals(query.classifier, query.label)
-
-
 def _check_success(outputs) -> Optional[Counterexample]:
     for q, out in outputs.items():
         if out.count == 0:
@@ -189,26 +191,28 @@ def _check_feasibility(outputs) -> Optional[Counterexample]:
 
 def _check_coreness(outputs) -> Optional[Counterexample]:
     for q, out in outputs.items():
-        core = None
+        view, cmask = class_context(q)
         for e in out:
-            if core is None:
-                core = _core_of(q)
-            if not e.subset_of(core):
+            if core_offenders(view, cmask, e):
+                core = core_literals(q.classifier, q.label)
                 return Counterexample(
                     q, e, detail=f"not inside the class core ({core.render()})"
                 )
     return None
 
 
+def _first_instance(q: Query, mask: int) -> PartialAssignment:
+    return instance_of_rank(q.theory, next(ranks_in(mask)))
+
+
 def _check_sceptical_validity(outputs) -> Optional[Counterexample]:
     # vacuous for explanations that are not part of x (empty residual)
     for q, out in outputs.items():
-        view = class_view(q.classifier)
-        cmask = view.class_mask(q.label)
+        view, cmask = class_context(q)
         for e in out:
-            bad = view.mask_residual(q.instance, e) & cmask
+            bad = sceptical_offenders(view, cmask, q.instance, e)
             if bad:
-                witness = instance_of_rank(q.theory, _lowest_bit(bad))
+                witness = _first_instance(q, bad)
                 return Counterexample(
                     q, e, witness, detail="an exact-change variant keeps the class"
                 )
@@ -225,12 +229,11 @@ def _check_novelty(outputs) -> Optional[Counterexample]:
 
 def _check_strong_validity(outputs) -> Optional[Counterexample]:
     for q, out in outputs.items():
-        view = class_view(q.classifier)
-        cmask = view.class_mask(q.label)
+        view, cmask = class_context(q)
         for e in out:
-            bad = view.mask_containing(e) & cmask
+            bad = strong_offenders(view, cmask, e)
             if bad:
-                witness = instance_of_rank(q.theory, _lowest_bit(bad))
+                witness = _first_instance(q, bad)
                 return Counterexample(
                     q, e, witness, detail="an extension keeps the class"
                 )
@@ -240,16 +243,12 @@ def _check_strong_validity(outputs) -> Optional[Counterexample]:
 def _check_weak_validity(outputs) -> Optional[Counterexample]:
     for q, out in outputs.items():
         for e in out:
-            y = substitute(q.instance, e)
-            if q.classifier.classify(y) == q.label:
+            if not overwrite_flips(q.classifier, q.instance, q.label, e):
+                y = substitute(q.instance, e)
                 return Counterexample(
                     q, e, y, detail="overwriting x does not change the class"
                 )
     return None
-
-
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 _CHECKS = {
@@ -350,6 +349,11 @@ EXPECTED_PROFILES: dict[str, dict[str, bool]] = {
         a: a in ("Success", "NonTriviality", "Feasibility") for a in AXIOMS
     },
 }
+
+# The derived explainers select among cSuf's flips and keep its pattern.
+EXPECTED_PROFILES.update(
+    dict.fromkeys(("featMin", "cardMin", "distMin"), EXPECTED_PROFILES["cSuf"])
+)
 
 # If the antecedent axioms show no violation over a suite, the consequent
 # cannot show one: the checks share their primitive predicates, so these
@@ -633,8 +637,7 @@ def check_impossibility(witness: ImpossibilityWitness) -> tuple[bool, str]:
     """
     q = witness.query
     x = q.instance
-    view = class_view(q.classifier)
-    cmask = view.class_mask(q.label)
+    view, cmask = class_context(q)
     set_id = witness.set_id
 
     if set_id == "I1":
@@ -648,8 +651,7 @@ def check_impossibility(witness: ImpossibilityWitness) -> tuple[bool, str]:
 
     if set_id == "I2":
         for e in subsets_of(x, min_size=0):
-            bad = view.mask_residual(x, e) & cmask
-            if not bad:
+            if not sceptical_offenders(view, cmask, x, e):
                 return False, f"{e.render()} passes the sceptical test"
         return True, (
             "every part of x (all "
@@ -660,7 +662,7 @@ def check_impossibility(witness: ImpossibilityWitness) -> tuple[bool, str]:
 
     if set_id == "I3":
         for e in novel_assignments(x, min_size=0):
-            if view.mask_containing(e) & cmask == 0:
+            if not strong_offenders(view, cmask, e):
                 return False, f"{e.render()} passes the strong test"
         return True, (
             "every assignment sharing nothing with x has an extension "
@@ -680,7 +682,7 @@ def check_impossibility(witness: ImpossibilityWitness) -> tuple[bool, str]:
 
     if set_id == "I5":
         for e in subsets_of(x, min_size=0):
-            if q.classifier.classify(substitute(x, e)) != q.label:
+            if overwrite_flips(q.classifier, x, q.label, e):
                 return False, f"{e.render()} changes the class"
         return True, (
             "overwriting x with any of its own parts keeps the class; "
@@ -740,16 +742,12 @@ def constant_blank(query: Query) -> ExplanationSet:
 
 def old_values(query: Query) -> ExplanationSet:
     """The parts of x overwritten by each differently-classified instance."""
-    view = class_view(query.classifier)
+    view, cmask = class_context(query)
     x = query.instance
-    others = view.full_mask & ~view.class_mask(query.label)
-    found = set()
-    rank = 0
-    while others:
-        if others & 1:
-            found.add(x.difference(instance_of_rank(query.theory, rank)))
-        others >>= 1
-        rank += 1
+    found = {
+        x.difference(instance_of_rank(query.theory, rank))
+        for rank in ranks_in(view.full_mask & ~cmask)
+    }
     ordered = tuple(sorted(found, key=lambda e: e.sort_key()))
     return ExplanationSet("old-values", ordered)
 

@@ -94,6 +94,11 @@ class Bundle:
 
     def query(self, index: int) -> Query:
         """1-based, matching the bundle's instance numbering."""
+        if not 1 <= index <= len(self.instances):
+            raise ValueError(
+                f"query {index} is out of range 1..{len(self.instances)}"
+                f" for bundle {self.name!r}"
+            )
         return Query(self.theory, self.classifier, self.instances[index - 1])
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .formulas import Formula, evaluate, evaluate_bitwise, parse_formula
 from .theory import (
@@ -344,8 +344,14 @@ class ClassView:
                 mask &= self.value_masks[i][xv]
         return mask
 
-    def rank_in(self, rank: int, mask: int) -> bool:
-        return bool((mask >> rank) & 1)
+
+def ranks_in(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, ascending, in time linear in its length."""
+    bits = bin(mask)[:1:-1]  # least significant bit first, "0b" dropped
+    rank = bits.find("1")
+    while rank >= 0:
+        yield rank
+        rank = bits.find("1", rank + 1)
 
 
 def class_view(classifier: Classifier) -> ClassView:

@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .audit import (
@@ -297,16 +296,10 @@ def cmd_audit(args) -> int:
             raise ValueError(
                 f"unknown explainer {name!r} (choose from {', '.join(sorted(EXPLAINERS))})"
             )
-    jobs = max(1, args.jobs)
-
-    def run(name: str):
-        return audit(EXPLAINERS[name], suite.queries, name=name, suite_name=suite.name)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            profiles = list(pool.map(run, names))
-    else:
-        profiles = [run(name) for name in names]
+    profiles = [
+        audit(EXPLAINERS[name], suite.queries, name=name, suite_name=suite.name)
+        for name in names
+    ]
 
     external = None
     if args.external:
@@ -518,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budget", type=int, default=1500, help="generated-query budget")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel audit workers")
     _add_common_flags(p)
     p.set_defaults(func=cmd_audit)
 

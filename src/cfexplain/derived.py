@@ -26,13 +26,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
-from .classifier import Query
-from .explain import ExplanationSet, c_suf, is_member
+from .classifier import Query, ranks_in
+from .explain import (
+    ExplanationSet,
+    c_suf,
+    class_context,
+    collect,
+    is_member,
+    sceptical_offenders,
+    strong_offenders,
+)
 from .theory import (
     PartialAssignment,
     enumerate_partial_assignments,
+    instance_of_rank,
     substitute,
 )
 
@@ -106,14 +115,14 @@ def feat_min(query: Query, cap: Optional[int] = None) -> ExplanationSet:
         s for s in distinct if not any(t < s for t in distinct)
     }
     chosen = [e for e in flips if feature_sets[e] in minimal]
-    return _capped("featMin", chosen, cap)
+    return collect("featMin", chosen, cap)
 
 
 def card_min(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     """Flips of minimum cardinality."""
     flips = _flips(query)
     best = min(e.size for e in flips)
-    return _capped("cardMin", [e for e in flips if e.size == best], cap)
+    return collect("cardMin", [e for e in flips if e.size == best], cap)
 
 
 def dist_min(
@@ -124,7 +133,7 @@ def dist_min(
     flips = _flips(query)
     scored = [(distance(substitute(x, e), x), e) for e in flips]
     best = min(d for d, _ in scored)
-    return _capped("distMin", [e for d, e in scored if d == best], cap)
+    return collect("distMin", [e for d, e in scored if d == best], cap)
 
 
 def dist_cap(
@@ -138,16 +147,22 @@ def dist_cap(
         raise DistanceError("threshold must be >= 0")
     x = query.instance
     chosen = [e for e in _flips(query) if distance(substitute(x, e), x) < tau]
-    return _capped("distCap", chosen, cap)
+    return collect("distCap", chosen, cap)
 
 
-def _capped(
-    kind: str, chosen: Iterable[PartialAssignment], cap: Optional[int]
-) -> ExplanationSet:
-    out = list(chosen)  # already in canonical order (filtered from c_suf)
-    if cap and len(out) > cap:
-        return ExplanationSet(kind, tuple(out[:cap]), truncated=True)
-    return ExplanationSet(kind, tuple(out))
+def nothing_closer(
+    query: Query, e: PartialAssignment, distance: DistanceMeasure
+) -> bool:
+    """No other-class instance lies strictly closer to x than x overwritten
+    by e.  Every flip's counterfactual is such an instance, so for a flip e
+    this is distance-minimality, and under hamming cardinality-minimality."""
+    view, cmask = class_context(query)
+    x = query.instance
+    mine = distance(substitute(x, e), x)
+    return all(
+        distance(instance_of_rank(query.theory, rank), x) >= mine
+        for rank in ranks_in(view.full_mask & ~cmask)
+    )
 
 
 def is_derived_member(
@@ -157,32 +172,27 @@ def is_derived_member(
     distance: DistanceMeasure = hamming,
     tau: float = math.inf,
 ) -> bool:
-    """Definitional membership for the derived families."""
+    """Definitional membership for the derived families, decided from the
+    truth table without listing the flips."""
+    if kind not in DERIVED_KINDS:
+        raise ValueError(f"unknown derived kind {kind!r}")
+    if not is_member("cSuf", query, e):
+        return False
+    x = query.instance
     if kind == "featMin":
-        if not is_member("cSuf", query, e):
-            return False
-        feats = set(e.feature_positions())
-        return not any(
-            set(other.feature_positions()) < feats for other in _flips(query)
+        # a smaller flip is an other-class instance differing from x on a
+        # strict subset of Feat(e): among those agreeing with x off Feat(e),
+        # every one must differ from x on all of Feat(e)
+        view, cmask = class_context(query)
+        other = view.full_mask & ~cmask
+        y = substitute(x, e)
+        return not (
+            strong_offenders(view, other, x.intersection(y))
+            & ~sceptical_offenders(view, other, x, x.difference(y))
         )
-    if kind == "cardMin":
-        return is_member("cSuf", query, e) and e.size == min(
-            f.size for f in _flips(query)
-        )
-    if kind == "distMin":
-        if not is_member("cSuf", query, e):
-            return False
-        x = query.instance
-        mine = distance(substitute(x, e), x)
-        return all(
-            distance(substitute(x, f), x) >= mine for f in _flips(query)
-        )
-    if kind == "distCap":
-        return (
-            is_member("cSuf", query, e)
-            and distance(substitute(query.instance, e), query.instance) < tau
-        )
-    raise ValueError(f"unknown derived kind {kind!r}")
+    if kind in ("cardMin", "distMin"):
+        return nothing_closer(query, e, hamming if kind == "cardMin" else distance)
+    return distance(substitute(x, e), x) < tau
 
 
 # -- weightings and rankings -----------------------------------------------------

@@ -26,14 +26,13 @@ explanations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .classifier import Query, class_view
+from .classifier import Classifier, ClassView, Query, class_view, core_literals
 from .theory import (
     PartialAssignment,
     enumerate_partial_assignments,
     novel_assignments,
-    rank_of,
     subsets_of,
     substitute,
 )
@@ -87,9 +86,10 @@ def explanation_set_from_json(raw: Mapping, query: Query) -> ExplanationSet:
     )
 
 
-def _collect(
-    kind: str, candidates: Iterator[PartialAssignment], cap: Optional[int]
+def collect(
+    kind: str, candidates: Iterable[PartialAssignment], cap: Optional[int]
 ) -> ExplanationSet:
+    """The candidates in their order, at most ``cap`` of them (0 or None: all)."""
     if not cap:  # None or 0 both mean uncapped
         return ExplanationSet(kind, tuple(candidates))
     out: list[PartialAssignment] = []
@@ -102,49 +102,73 @@ def _collect(
     return ExplanationSet(kind, tuple(out), truncated)
 
 
-# -- membership (definitional oracles) ------------------------------------------
+# -- the four primitive predicates ------------------------------------------------
+#
+# Every family, every axiom check and the SAT decision path test these, and
+# nothing else re-derives them.  A mask predicate returns its offenders as a
+# mask over instance ranks: 0 means the predicate holds, and any set bit is a
+# witness instance against it.
 
 
-def _context(query: Query):
+def class_context(query: Query) -> tuple[ClassView, int]:
+    """The classifier's view and x's class mask, computed once per query."""
     view = class_view(query.classifier)
     return view, view.class_mask(query.label)
+
+
+def core_offenders(view: ClassView, cmask: int, e: PartialAssignment) -> int:
+    """In-core: the instances of cmask that lack some literal of e."""
+    return cmask & ~view.mask_containing(e)
+
+
+def sceptical_offenders(
+    view: ClassView, cmask: int, x: PartialAssignment, e: PartialAssignment
+) -> int:
+    """Sceptical: the instances of cmask differing from x exactly on e's
+    features (none when e is not part of x)."""
+    return view.mask_residual(x, e) & cmask
+
+
+def strong_offenders(view: ClassView, cmask: int, e: PartialAssignment) -> int:
+    """Strong: the instances of cmask that extend e."""
+    return view.mask_containing(e) & cmask
+
+
+def overwrite_flips(
+    classifier: Classifier, x: PartialAssignment, label: str, e: PartialAssignment
+) -> bool:
+    """Overwriting x with e gives an instance outside class ``label``."""
+    return classifier.classify(substitute(x, e)) != label
+
+
+# -- membership (definitional oracles) ------------------------------------------
 
 
 def is_member(kind: str, query: Query, e: PartialAssignment) -> bool:
     """Definitional membership: the quantifier itself, not a shortcut.
 
     Every universally quantified condition is evaluated over the full
-    instance space via the classifier's truth-table masks.
+    instance space via the classifier's truth-table masks; cSuf needs one
+    classification and builds no view.
     """
     if e.theory != query.theory:
         raise ValueError("explanation belongs to a different theory")
     x = query.instance
     if kind == "gNec":
-        # nonempty, and every instance of x's class contains e
-        if e.is_empty:
-            return False
-        view, cmask = _context(query)
-        return cmask & ~view.mask_containing(e) == 0
+        return not e.is_empty and not core_offenders(*class_context(query), e)
     if kind == "sNec":
-        # part of x, and every instance differing exactly on e leaves the class
-        if not e.subset_of(x):
-            return False
-        view, cmask = _context(query)
-        return view.mask_residual(x, e) & cmask == 0
+        return e.subset_of(x) and not sceptical_offenders(*class_context(query), x, e)
     if kind == "gSuf":
-        # no instance containing e keeps x's class (rules out the empty e)
-        view, cmask = _context(query)
-        return view.mask_containing(e) & cmask == 0
+        # rules out the empty e: x itself extends it
+        return not strong_offenders(*class_context(query), e)
     if kind == "sSuf":
-        if not e.disjoint_from(x):
-            return False
-        view, cmask = _context(query)
-        return view.mask_containing(e) & cmask == 0
+        return e.disjoint_from(x) and not strong_offenders(*class_context(query), e)
     if kind == "cSuf":
-        # novel, and overwriting x with e changes the class
-        if e.is_empty or not e.disjoint_from(x):
-            return False
-        return query.classifier.classify(substitute(x, e)) != query.label
+        return (
+            not e.is_empty
+            and e.disjoint_from(x)
+            and overwrite_flips(query.classifier, x, query.label, e)
+        )
     raise ValueError(f"unknown explainer kind {kind!r}")
 
 
@@ -157,44 +181,42 @@ def g_nec(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     Those are exactly the nonempty subsets of the class core, so the core is
     computed once and its subsets enumerated.
     """
-    from .classifier import core_literals
-
     core = core_literals(query.classifier, query.label, method="scan")
-    return _collect("gNec", subsets_of(core, min_size=1), cap)
+    return collect("gNec", subsets_of(core, min_size=1), cap)
 
 
 def s_nec(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     """Parts of x whose every exact-change variant leaves x's class."""
-    view, cmask = _context(query)
+    view, cmask = class_context(query)
     x = query.instance
     candidates = (
         e
         for e in subsets_of(x, min_size=1)
-        if view.mask_residual(x, e) & cmask == 0
+        if not sceptical_offenders(view, cmask, x, e)
     )
-    return _collect("sNec", candidates, cap)
+    return collect("sNec", candidates, cap)
 
 
 def g_suf(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     """Assignments none of whose extensions keeps x's class."""
-    view, cmask = _context(query)
+    view, cmask = class_context(query)
     candidates = (
         e
         for e in enumerate_partial_assignments(query.theory)
-        if not e.is_empty and view.mask_containing(e) & cmask == 0
+        if not e.is_empty and not strong_offenders(view, cmask, e)
     )
-    return _collect("gSuf", candidates, cap)
+    return collect("gSuf", candidates, cap)
 
 
 def s_suf(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     """gSuf explanations sharing no literal with x."""
-    view, cmask = _context(query)
+    view, cmask = class_context(query)
     candidates = (
         e
         for e in novel_assignments(query.instance, min_size=1)
-        if view.mask_containing(e) & cmask == 0
+        if not strong_offenders(view, cmask, e)
     )
-    return _collect("sSuf", candidates, cap)
+    return collect("sSuf", candidates, cap)
 
 
 def c_suf(query: Query, cap: Optional[int] = None) -> ExplanationSet:
@@ -205,15 +227,13 @@ def c_suf(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     ordered.  Never empty: the classifier is surjective, so some instance has
     another class, and its difference from x qualifies.
     """
-    view, cmask = _context(query)
-    x = query.instance
-    other = view.full_mask & ~cmask
+    x, label = query.instance, query.label
     candidates = (
         e
         for e in novel_assignments(x, min_size=1)
-        if view.rank_in(rank_of(substitute(x, e)), other)
+        if overwrite_flips(query.classifier, x, label, e)
     )
-    return _collect("cSuf", candidates, cap)
+    return collect("cSuf", candidates, cap)
 
 
 _GENERATORS = {

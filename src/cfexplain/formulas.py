@@ -19,14 +19,17 @@ auxiliaries in post-order) and DIMACS serialization for external solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 
 class ParseError(ValueError):
     """Malformed formula text, with position information."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(
+        self, message: str, line: Optional[int] = None, column: Optional[int] = None
+    ):
+        where = "" if line is None else f" (line {line}, column {column})"
+        super().__init__(message + where)
         self.line = line
         self.column = column
 

@@ -31,9 +31,10 @@ from .classifier import (
     FormulaClassifier,
     Query,
     UnknownClass,
-    class_view,
+    ranks_in,
 )
-from .derived import DistanceMeasure, hamming
+from .derived import DERIVED_KINDS, DistanceMeasure, hamming, nothing_closer
+from .explain import class_context, is_member
 from .formulas import Clause, Formula, Not, tseitin, to_dimacs
 from .theory import (
     PartialAssignment,
@@ -329,6 +330,14 @@ def _unit_for(position: int, value: int) -> Clause:
     return (var,) if value == 1 else (-var,)
 
 
+def _in_core(
+    theory: Theory, indicator: Formula, i: int, v: int, oracle: SatOracle
+) -> bool:
+    """In-core by one oracle call: no model of indicator gives feature i
+    another value than v."""
+    return _solve_with_units(theory, indicator, [_unit_for(i, 1 - v)], oracle) is None
+
+
 def _difference_literals(x: PartialAssignment) -> list[int]:
     """Literals true exactly when a model disagrees with x on that feature."""
     return [
@@ -365,13 +374,6 @@ def _flip_changes_class(query: Query, positions) -> bool:
     return query.classifier.classify(y) != query.label
 
 
-def _is_flip_member(query: Query, e: PartialAssignment) -> bool:
-    x = query.instance
-    if e.is_empty or not e.disjoint_from(x):
-        return False
-    return query.classifier.classify(substitute(x, e)) != query.label
-
-
 def _subsets_ascending(positions: tuple[int, ...], proper: bool):
     from itertools import combinations
 
@@ -399,7 +401,7 @@ def decide_exp(
     label = query.label
 
     if kind == "cSuf":
-        return _is_flip_member(query, e)
+        return is_member("cSuf", query, e)
 
     if kind == "sNec":
         # x ⊖ E is the single instance with E's features flipped
@@ -412,13 +414,10 @@ def decide_exp(
         if e.is_empty:
             return False
         indicator = class_indicator(classifier, label)
-        for i, v in e.indexed_literals():
-            witness = _solve_with_units(
-                query.theory, indicator, [_unit_for(i, 1 - v)], oracle
-            )
-            if witness is not None:
-                return False
-        return True
+        return all(
+            _in_core(query.theory, indicator, i, v, oracle)
+            for i, v in e.indexed_literals()
+        )
 
     if kind in ("gSuf", "sSuf"):
         if kind == "sSuf" and not e.disjoint_from(x):
@@ -429,53 +428,28 @@ def decide_exp(
         units = [_unit_for(i, v) for i, v in e.indexed_literals()]
         return _solve_with_units(query.theory, indicator, units, oracle) is None
 
+    if kind not in DERIVED_KINDS:
+        raise ValueError(f"unknown explainer kind {kind!r}")
+    if not is_member("cSuf", query, e):
+        return False
+
     if kind == "featMin":
-        # flip + no proper feature subset also flips (boolean flips are
-        # unique per feature set, so the subset scan is direct evaluation)
-        if not _is_flip_member(query, e):
-            return False
+        # no proper feature subset also flips (boolean flips are unique per
+        # feature set, so the subset scan is direct evaluation)
         positions = e.feature_positions()
         return not any(
             _flip_changes_class(query, subset)
             for subset in _subsets_ascending(positions, proper=True)
         )
 
-    if kind == "cardMin":
-        if not _is_flip_member(query, e):
-            return False
+    if kind == "cardMin" or (kind == "distMin" and distance in (None, hamming)):
         return not _min_flip_size_below(query, classifier, e.size - 1, oracle)
 
     if kind == "distMin":
-        if not _is_flip_member(query, e):
-            return False
-        if distance is None or distance is hamming:
-            return not _min_flip_size_below(query, classifier, e.size - 1, oracle)
-        return _weighted_rank_check(query, e, distance)
+        return nothing_closer(query, e, distance)
 
-    if kind == "distCap":
-        if not _is_flip_member(query, e):
-            return False
-        d = distance if distance is not None else hamming
-        return d(substitute(x, e), x) < tau
-
-    raise ValueError(f"unknown explainer kind {kind!r}")
-
-
-def _weighted_rank_check(
-    query: Query, e: PartialAssignment, distance: DistanceMeasure
-) -> bool:
-    """No flip lands strictly closer to x under the given measure."""
-    view = class_view(query.classifier)
-    x = query.instance
-    mine = distance(substitute(x, e), x)
-    others = view.full_mask & ~view.class_mask(query.label)
-    rank = 0
-    while others:
-        if others & 1 and distance(instance_of_rank(query.theory, rank), x) < mine:
-            return False
-        others >>= 1
-        rank += 1
-    return True
+    d = distance if distance is not None else hamming
+    return d(substitute(x, e), x) < tau  # distCap
 
 
 # -- find ------------------------------------------------------------------------
@@ -531,10 +505,7 @@ def find_exp(
         # scan x's literals for a core literal of x's class
         indicator = class_indicator(classifier, label)
         for i, v in x.indexed_literals():
-            witness = _solve_with_units(
-                query.theory, indicator, [_unit_for(i, 1 - v)], oracle
-            )
-            if witness is None:
+            if _in_core(query.theory, indicator, i, v, oracle):
                 values: list[Optional[int]] = [None] * query.theory.n_features
                 values[i] = v
                 return PartialAssignment(query.theory, tuple(values))
@@ -607,20 +578,15 @@ def _closest_flip(
     query: Query, distance: DistanceMeasure, tau: float
 ) -> Optional[PartialAssignment]:
     """Enumerate opposite-class instances, keep the closest one under tau."""
-    view = class_view(query.classifier)
+    view, cmask = class_context(query)
     x = query.instance
-    others = view.full_mask & ~view.class_mask(query.label)
     best: Optional[PartialAssignment] = None
     best_d = math.inf
-    rank = 0
-    while others:
-        if others & 1:
-            y = instance_of_rank(query.theory, rank)
-            d = distance(y, x)
-            if d < best_d and d < tau:
-                best, best_d = y, d
-        others >>= 1
-        rank += 1
+    for rank in ranks_in(view.full_mask & ~cmask):
+        y = instance_of_rank(query.theory, rank)
+        d = distance(y, x)
+        if d < best_d and d < tau:
+            best, best_d = y, d
     return None if best is None else best.difference(x)
 
 
@@ -637,11 +603,7 @@ def core_literals_sat(
     theory = classifier.theory
     values: list[Optional[int]] = [None] * theory.n_features
     for i in range(theory.n_features):
-        for v in (1, 0):
-            hit = _solve_with_units(
-                theory, indicator, [_unit_for(i, 1 - v)], oracle
-            )
-            if hit is None:
-                values[i] = v
-                break
+        values[i] = next(
+            (v for v in (1, 0) if _in_core(theory, indicator, i, v, oracle)), None
+        )
     return PartialAssignment(theory, tuple(values))

@@ -186,7 +186,7 @@ class PartialAssignment:
 
     @property
     def is_instance(self) -> bool:
-        return all(v is not None for v in self.values)
+        return None not in self.values
 
     @property
     def is_empty(self) -> bool:

@@ -34,7 +34,7 @@ from conftest import tool
 
 
 AUDITED = (
-    "gNec", "sNec", "gSuf", "sSuf", "cSuf",
+    "gNec", "sNec", "gSuf", "sSuf", "cSuf", "featMin", "cardMin", "distMin",
     "constant-empty", "constant-blank", "old-values",
 )
 

@@ -30,6 +30,7 @@ from cfexplain import (
     validate_theory,
 )
 
+from cfexplain.classifier import ranks_in
 from helpers import make_theory, table_queries
 
 
@@ -160,6 +161,12 @@ def test_class_view_masks_match_brute_force():
     want = {rank_of(y) for y in __import__("cfexplain").residual(x1, e)}
     assert {r for r in range(t.instance_count()) if (res >> r) & 1} == want
     assert view.full_mask == (1 << t.instance_count()) - 1
+
+
+def test_ranks_in_lists_set_bits_in_ascending_order():
+    assert list(ranks_in(0)) == []
+    assert list(ranks_in(0b10110)) == [1, 2, 4]
+    assert list(ranks_in(1 | 1 << (1 << 20))) == [0, 1 << 20]
 
 
 @given(table_queries())

@@ -320,12 +320,6 @@ def test_audit_exit_code_two_on_mismatch(capsys, vacation_files):
     assert "Success" in payload["profiles"][0]["mismatches"]
 
 
-def test_audit_jobs_do_not_change_the_report(capsys):
-    serial = run_cli(capsys, *audit_args("--jobs", "1"))
-    threaded = run_cli(capsys, *audit_args("--jobs", "4"))
-    assert serial == threaded
-
-
 def test_audit_selected_explainers_and_text_table(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -452,6 +446,40 @@ def test_malformed_instance_fails_cleanly(capsys, tmp_path, vacation_files):
         "--kind", "gnec",
     )
     assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("which", ["theory", "instance"])
+def test_non_object_json_file_fails_cleanly(capsys, tmp_path, vacation_files, which):
+    bad = tmp_path / "list.json"
+    bad.write_text("[]")
+    files = {
+        "theory": vacation_files["theory.json"],
+        "instance": vacation_files["x1.json"],
+        which: str(bad),
+    }
+    code, out, err = run_cli(
+        capsys,
+        "explain",
+        "--theory", files["theory"],
+        "--classifier", vacation_files["classifier.csv"],
+        "--instance", files["instance"],
+        "--kind", "gnec",
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: ParseError: {which} file must hold a JSON object"
+    ]
+
+
+@pytest.mark.parametrize("index", ["0", "99"])
+def test_fixture_query_out_of_range_fails_cleanly(capsys, index):
+    code, out, err = run_cli(
+        capsys, "explain", "--fixture", "vacation", "--query", index, "--kind", "gnec"
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: DomainError: query {index} is out of range 1..9 for bundle 'vacation'"
+    ]
 
 
 def test_unknown_literal_fails_cleanly(capsys):

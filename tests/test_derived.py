@@ -4,6 +4,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfexplain import (
     DERIVED_KINDS,
@@ -16,6 +17,7 @@ from cfexplain import (
     dist_cap,
     dist_min,
     distance_weighting,
+    enumerate_partial_assignments,
     faithful_max,
     feat_min,
     hamming,
@@ -101,20 +103,27 @@ def test_derived_sets_are_flip_subsets():
 # -- membership oracles ----------------------------------------------------------------
 
 
-def test_is_derived_member_matches_enumeration():
-    b = vac()
-    compute = {
-        "featMin": feat_min,
-        "cardMin": card_min,
-        "distMin": dist_min,
-        "distCap": dist_cap,
-    }
-    for i in (1, 2, 3):
-        q = b.query(i)
-        for kind in DERIVED_KINDS:
-            got = frozenset(compute[kind](q))
-            for e in c_suf(q):
-                assert is_derived_member(kind, q, e) == (e in got)
+@given(
+    table_queries(),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=3, max_size=3),
+    st.sampled_from([0.5, 1.0, 2.0, 3.5, math.inf]),
+)
+@settings(max_examples=60, deadline=None)
+def test_is_derived_member_matches_enumeration(query, weights, tau):
+    theory = query.theory
+    weighted = weighted_distance(dict(zip(theory.features, weights)), theory)
+    for distance in (hamming, weighted):
+        listed = {
+            "featMin": feat_min(query),
+            "cardMin": card_min(query),
+            "distMin": dist_min(query, distance=distance),
+            "distCap": dist_cap(query, distance=distance, tau=tau),
+        }
+        assert set(listed) == set(DERIVED_KINDS)
+        for e in enumerate_partial_assignments(theory):
+            for kind, members in listed.items():
+                got = is_derived_member(kind, query, e, distance=distance, tau=tau)
+                assert got == (e in members.assignments()), (kind, e.render())
 
 
 def test_is_derived_member_rejects_unknown_kind():
