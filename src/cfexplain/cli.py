@@ -159,7 +159,10 @@ def _ingest(args) -> Query:
 
 def _parse_assignment(raw: str, theory) -> PartialAssignment:
     text = _read(raw[1:]) if raw.startswith("@") else raw
-    return PartialAssignment.from_dict(theory, json.loads(text))
+    mapping = json.loads(text)
+    if not isinstance(mapping, dict):
+        raise ParseError("--explanation must hold a JSON object")
+    return PartialAssignment.from_dict(theory, mapping)
 
 
 def _render_set(result) -> str:
@@ -434,6 +437,15 @@ def _add_sat_flags(sub):
     )
 
 
+def non_negative_int(raw: str) -> int:
+    """argparse type of the count flags (--cap, --budget), where 0 is a
+    documented setting and a negative count is a usage error."""
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfexplain",
@@ -447,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kind_flags(p)
     p.add_argument(
         "--cap",
-        type=int,
+        type=non_negative_int,
         default=DEFAULT_CAP,
         help=f"maximum explanations listed (default {DEFAULT_CAP}; 0 = uncapped)",
     )
@@ -509,7 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CMD",
         help="audit an external explainer command (line-JSON protocol)",
     )
-    p.add_argument("--budget", type=int, default=1500, help="generated-query budget")
+    p.add_argument(
+        "--budget",
+        type=non_negative_int,
+        default=1500,
+        help="generated-query budget (0 = every generated query)",
+    )
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     _add_common_flags(p)
     p.set_defaults(func=cmd_audit)
@@ -522,7 +539,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="audit the compatibility witness explainers instead",
     )
-    p.add_argument("--budget", type=int, default=1500, help="generated-query budget")
+    p.add_argument(
+        "--budget",
+        type=non_negative_int,
+        default=1500,
+        help="generated-query budget (0 = every generated query)",
+    )
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     _add_common_flags(p)
     p.set_defaults(func=cmd_witness)

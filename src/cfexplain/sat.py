@@ -12,10 +12,15 @@ search reduce to a handful of satisfiability calls instead of enumeration:
   (one opposite-class model), at most n for gNec (scan x's literals).
 
 The oracle itself is pluggable: a deterministic built-in DPLL (fixed
-branching: ascending variable index, true first, stop once every clause is
-satisfied, unassigned variables read as false) or any external solver that
-accepts a DIMACS CNF file path and prints SAT-competition style ``s``/``v``
-lines.  ``SatOracle`` counts calls so budget claims are testable.
+branching: ascending variable index, true first, chronological
+backtracking, stop once every clause is satisfied, unassigned variables read
+as false) or any external solver that accepts a DIMACS CNF file path and
+prints SAT-competition style ``s``/``v`` lines.  The built-in DPLL is
+iterative, with no recursion limit on the search depth, and propagates units
+with per-clause counters of true and false literal occurrences rather than
+by rescanning the clauses; its branching order and its models are those of
+the plain recursive formulation.  ``SatOracle`` counts calls so budget
+claims are testable.
 """
 
 from __future__ import annotations
@@ -68,69 +73,112 @@ def _require_formula_query(query: Query) -> FormulaClassifier:
 
 
 def dpll(clauses: Sequence[Clause], n_vars: int) -> Optional[tuple[bool, ...]]:
-    """Deterministic DPLL: unit propagation + ascending-index, true-first
-    branching; stops as soon as every clause is satisfied, reading the
-    still-unassigned variables as false."""
-    assign: list[Optional[bool]] = [None] * (n_vars + 1)
+    """Deterministic DPLL: unit propagation to a fixpoint at every node,
+    branching on the lowest unassigned variable, true first, with
+    chronological backtracking; stops as soon as every clause has a true
+    literal, reading the still-unassigned variables as false.
 
-    def propagate(trail: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for clause in clauses:
-                unit = None
-                open_lits = 0
-                satisfied = False
-                for lit in clause:
-                    v = assign[abs(lit)]
-                    if v is None:
-                        open_lits += 1
-                        unit = lit
-                        if open_lits > 1:
-                            break
-                    elif (lit > 0) == v:
-                        satisfied = True
-                        break
-                if satisfied or open_lits > 1:
+    The search is iterative: the trail doubles as the propagation queue and
+    an explicit decision stack replaces recursion, so no input depth hits a
+    recursion limit.  Propagation is counter-based: every literal has an
+    occurrence list (with multiplicity), every clause counts its true and
+    false occurrences, and a running count tracks the clauses with no true
+    literal yet, so no node rescans the clause list.  A clause is a unit
+    when it has no true occurrence and exactly one open one, so a repeated
+    literal such as ``(1, 1)`` or a tautology such as ``(1, -1)`` is never a
+    unit while open.  A conflict-free propagation fixpoint does not depend
+    on the order of propagation, so the search tree and the model are those
+    of the plain recursive formulation.
+
+    Raises ValueError when a literal is 0 or names a variable above n_vars.
+    """
+    size = [len(clause) for clause in clauses]
+    if 0 in size:
+        return None  # the empty clause is unsatisfiable
+    # Indexed by literal, negative literals from the end of the list.  The
+    # literal 0 lands in slot 0 and a literal whose variable lies past n_vars
+    # in a middle slot, unless it is out of the list's range altogether.
+    occurs: list[list[int]] = [[] for _ in range(4 * n_vars + 3)]
+    try:
+        for ci, clause in enumerate(clauses):
+            for lit in clause:
+                occurs[lit].append(ci)
+        stray = occurs[0] or any(occurs[n_vars + 1 : 3 * n_vars + 3])
+    except IndexError:
+        stray = True
+    if stray:
+        raise ValueError(f"a clause holds a literal naming no variable in 1..{n_vars}")
+    value = [0] * (2 * n_vars + 1)  # by literal: 1 true, -1 false, 0 open
+    n_true = [0] * len(size)
+    n_false = [0] * len(size)
+    open_clauses = len(size)  # clauses with no true literal yet
+    trail: list[int] = []
+    decisions: list[tuple[int, int]] = []  # (trail length before, literal)
+
+    def assign(lit: int) -> None:
+        nonlocal open_clauses
+        value[lit] = 1
+        value[-lit] = -1
+        trail.append(lit)
+        for ci in occurs[lit]:
+            if not n_true[ci]:
+                open_clauses -= 1
+            n_true[ci] += 1
+        for ci in occurs[-lit]:
+            n_false[ci] += 1
+
+    def undo_to(length: int) -> None:
+        nonlocal open_clauses
+        for lit in trail[length:]:
+            value[lit] = value[-lit] = 0
+            for ci in occurs[lit]:
+                n_true[ci] -= 1
+                if not n_true[ci]:
+                    open_clauses += 1
+            for ci in occurs[-lit]:
+                n_false[ci] -= 1
+        del trail[length:]
+
+    def propagate(head: int) -> bool:
+        """Propagate the trail from position `head`; False on a conflict."""
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            for ci in occurs[-lit]:
+                if n_true[ci]:
                     continue
-                if open_lits == 0:
+                left = size[ci] - n_false[ci]
+                if left == 0:
                     return False
-                var = abs(unit)
-                assign[var] = unit > 0
-                trail.append(var)
-                changed = True
+                if left == 1:
+                    assign(next(other for other in clauses[ci] if not value[other]))
         return True
 
-    def satisfied_everywhere() -> bool:
-        return all(
-            any(
-                assign[abs(lit)] is not None and (lit > 0) == assign[abs(lit)]
-                for lit in clause
-            )
-            for clause in clauses
-        )
-
-    def search() -> bool:
-        trail: list[int] = []
-        if not propagate(trail):
-            for var in trail:
-                assign[var] = None
-            return False
-        if satisfied_everywhere():
-            return True
-        var = next(v for v in range(1, n_vars + 1) if assign[v] is None)
-        for value in (True, False):
-            assign[var] = value
-            if search():
-                return True
-            assign[var] = None
-        for var in trail:
-            assign[var] = None
-        return False
-
-    if search():
-        return tuple(bool(assign[v]) for v in range(1, n_vars + 1))
-    return None
+    for clause, width in zip(clauses, size):
+        if width == 1 and not value[clause[0]]:
+            assign(clause[0])
+    head = 0
+    while True:
+        if propagate(head):
+            if not open_clauses:
+                return tuple(v > 0 for v in value[1 : n_vars + 1])
+            # every variable below the last decision is assigned
+            var = abs(decisions[-1][1]) + 1 if decisions else 1
+            while value[var]:
+                var += 1
+            head = len(trail)
+            decisions.append((head, var))
+            assign(var)
+            continue
+        # back to the newest decision still on its true branch
+        while decisions and decisions[-1][1] < 0:
+            decisions.pop()
+        if not decisions:
+            return None
+        head, var = decisions.pop()
+        undo_to(head)
+        decisions.append((head, -var))
+        assign(-var)
 
 
 class DpllBackend:

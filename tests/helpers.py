@@ -150,6 +150,78 @@ def brute_sat(clauses, n_vars: int) -> Optional[tuple[bool, ...]]:
     return None
 
 
+def reference_dpll(clauses, n_vars: int) -> Optional[tuple[bool, ...]]:
+    """The recursive DPLL that ``cfexplain.sat.dpll`` must match model for model.
+
+    Unit propagation rescans every clause until nothing changes (a literal
+    is a unit only when it is the single open occurrence of a clause with no
+    true literal), then stops if every clause has a true literal, else
+    branches on the lowest unassigned variable, true first.  Unassigned
+    variables read as false.  One level of recursion per decision, so keep
+    the inputs small.
+    """
+    assign: list[Optional[bool]] = [None] * (n_vars + 1)
+
+    def propagate(trail: list[int]) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for clause in clauses:
+                unit = None
+                open_lits = 0
+                satisfied = False
+                for lit in clause:
+                    v = assign[abs(lit)]
+                    if v is None:
+                        open_lits += 1
+                        unit = lit
+                        if open_lits > 1:
+                            break
+                    elif (lit > 0) == v:
+                        satisfied = True
+                        break
+                if satisfied or open_lits > 1:
+                    continue
+                if open_lits == 0:
+                    return False
+                var = abs(unit)
+                assign[var] = unit > 0
+                trail.append(var)
+                changed = True
+        return True
+
+    def satisfied_everywhere() -> bool:
+        return all(
+            any(
+                assign[abs(lit)] is not None and (lit > 0) == assign[abs(lit)]
+                for lit in clause
+            )
+            for clause in clauses
+        )
+
+    def search() -> bool:
+        trail: list[int] = []
+        if not propagate(trail):
+            for var in trail:
+                assign[var] = None
+            return False
+        if satisfied_everywhere():
+            return True
+        var = next(v for v in range(1, n_vars + 1) if assign[v] is None)
+        for value in (True, False):
+            assign[var] = value
+            if search():
+                return True
+            assign[var] = None
+        for var in trail:
+            assign[var] = None
+        return False
+
+    if search():
+        return tuple(bool(assign[v]) for v in range(1, n_vars + 1))
+    return None
+
+
 def exhaustive_members(kind: str, query: Query):
     """Reference explanation set computed by filtering the full enumeration."""
     from cfexplain import enumerate_partial_assignments, is_member

@@ -422,6 +422,23 @@ def test_bad_fixture_is_an_argparse_error(capsys):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explain", "--fixture", "vacation", "--kind", "csuf", "--cap", "-3"],
+        ["audit", "--builtin", "--budget", "-1"],
+        ["witness", "--compat", "--budget", "-1"],
+    ],
+)
+def test_negative_counts_are_argparse_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[-2]}: must not be negative, got {argv[-1]}" in err
+
+
 def test_missing_input_files_fail_cleanly(capsys, tmp_path):
     code, out, err = run_cli(
         capsys,
@@ -489,6 +506,19 @@ def test_unknown_literal_fails_cleanly(capsys):
         "--kind", "snec", "--explanation", '{"t": "sweltering"}',
     )
     assert code == 1 and out == "" and "InvalidLiteral" in err
+
+
+@pytest.mark.parametrize("raw", ["[1]", '"x"'])
+def test_non_object_explanation_fails_cleanly(capsys, raw):
+    code, out, err = run_cli(
+        capsys,
+        "decide", "--fixture", "vacation", "--query", "1",
+        "--kind", "snec", "--explanation", raw,
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: ParseError: --explanation must hold a JSON object"
+    ]
 
 
 def test_incomplete_custom_input_reports_missing_flags(capsys, vacation_files):

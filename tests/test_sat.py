@@ -39,8 +39,10 @@ from helpers import (
     make_theory,
     random_assignment,
     random_boolean_query,
+    random_formula,
     random_novel,
     random_subset_of,
+    reference_dpll,
 )
 
 SAT_DECIDE_KINDS = (
@@ -79,6 +81,64 @@ def test_dpll_differential_against_brute_force():
             assert all(
                 any(model[abs(l) - 1] == (l > 0) for l in cl) for cl in clauses
             )
+
+
+def _random_cnf(rng: random.Random) -> tuple[list[tuple[int, ...]], int]:
+    """A small CNF that may hold empty clauses, repeated literals,
+    tautologies and variables that occur in no clause; n_vars may be 0."""
+    n = rng.randint(0, 8)
+    clauses = []
+    for _ in range(rng.randint(0, 20)):
+        width = rng.choice((0, 1, 1, 2, 2, 2, 3, 3, 3, 4)) if n else 0
+        if width == 0 and rng.random() < 0.8:
+            continue  # keep most CNFs free of the empty clause
+        clause = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(width)]
+        if clause and rng.random() < 0.1:
+            clause.append(clause[0])
+        if clause and rng.random() < 0.1:
+            clause.append(-clause[0])
+        rng.shuffle(clause)
+        clauses.append(tuple(clause))
+    return clauses, n + rng.randint(0, 2)
+
+
+def test_dpll_matches_the_reference_model_for_model():
+    rng = random.Random(1603)
+    kinds = {"sat": 0, "unsat": 0}
+    for _ in range(4000):
+        clauses, n = _random_cnf(rng)
+        model = dpll(clauses, n)
+        assert model == reference_dpll(clauses, n), (clauses, n)
+        kinds["unsat" if model is None else "sat"] += 1
+    assert min(kinds.values()) > 500
+
+
+def test_dpll_matches_the_reference_on_encodings():
+    rng = random.Random(2718)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        t = make_theory([2] * n)
+        clauses, n_vars = encode_formula(t, random_formula(rng, t.features, depth=4))
+        assert dpll(clauses, n_vars) == reference_dpll(clauses, n_vars)
+        diffs = [rng.choice((1, -1)) * v for v in range(1, n + 1)]
+        extra, next_free = at_most_k(diffs, rng.randint(-1, n), n_vars + 1)
+        both = clauses + extra
+        assert dpll(both, next_free - 1) == reference_dpll(both, next_free - 1)
+
+
+def test_dpll_solves_a_long_chain_without_recursion():
+    chain = [(i, i + 1) for i in range(1, 1500)]
+    model = dpll(chain, 1500)
+    assert model is not None
+    assert all(model[a - 1] or model[b - 1] for a, b in chain)
+    # true-first decisions on 1..1499 satisfy every clause; 1500 reads false
+    assert model == (True,) * 1499 + (False,)
+
+
+def test_dpll_rejects_literals_naming_no_variable():
+    for clauses, n in (([(3,)], 2), ([(1, -5)], 2), ([(0,)], 1), ([(1,)], 0)):
+        with pytest.raises(ValueError):
+            dpll(clauses, n)
 
 
 def test_at_most_k_via_forced_subsets():
