@@ -832,10 +832,12 @@ def builtin_suite(budget: Optional[int] = 1500, seed: int = 0) -> Suite:
     """Fixture queries + witness constructions + sampled generated probes.
 
     Fixture and witness queries are always kept; only the generated probes
-    are down-sampled when they exceed the budget.
+    are down-sampled when they exceed the budget (0 or None: keep all).
     """
     import random
 
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must not be negative, got {budget}")
     queries: list[Query] = []
     queries.extend(load_bundle("vacation").queries())
     queries.extend(load_bundle("bitcount").queries())
@@ -846,7 +848,7 @@ def builtin_suite(budget: Optional[int] = 1500, seed: int = 0) -> Suite:
         if w.other_query is not None:
             queries.append(w.other_query)
     generated = generated_probe_queries()
-    if budget is not None and budget > 0 and len(generated) > budget:
+    if budget and len(generated) > budget:
         rng = random.Random(seed)
         keep = sorted(rng.sample(range(len(generated)), budget))
         generated = [generated[i] for i in keep]

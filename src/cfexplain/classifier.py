@@ -12,6 +12,10 @@ class having at least one instance.
 Python bigint per (feature, value) pair and per class), which is what the
 brute-force oracles use to evaluate universally quantified definitions
 quickly without any third-party dependencies.
+
+Each classifier computes its surjectivity verdict and its view once, on
+first read.  Only enumeration and weighted distances read the view, so the
+SAT procedures run on formulas past the view's cap.
 """
 
 from __future__ import annotations
@@ -19,14 +23,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .formulas import Formula, evaluate, evaluate_bitwise, parse_formula
 from .theory import (
-    InvalidLiteral,
     PartialAssignment,
     Theory,
-    TheoryError,
     TheoryMismatch,
     as_instance,
     instance_of_rank,
@@ -66,10 +69,26 @@ class Classifier:
 
     theory: Theory
 
-    def classify(self, x: PartialAssignment) -> str:
+    @cached_property
+    def surjectivity(self) -> SurjectivityVerdict:
+        """Which classes of the theory no instance gets, decided once."""
+        produced = self._labels_produced()
+        missing = tuple(c for c in self.theory.classes if c not in produced)
+        return SurjectivityVerdict(not missing, missing)
+
+    @cached_property
+    def view(self) -> ClassView:
+        """The truth-table masks, built on first read (capped in size)."""
+        return ClassView(self)
+
+    def _labels_produced(self) -> set[str]:
         raise NotImplementedError
 
-    def class_of_rank(self, rank: int) -> str:
+    def _class_masks(self, view: ClassView) -> dict[str, int]:
+        """One mask per class, over the instance ranks of the view."""
+        raise NotImplementedError
+
+    def classify(self, x: PartialAssignment) -> str:
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
@@ -97,7 +116,6 @@ class TableClassifier(Classifier):
                 raise UnknownClass(f"class {c!r} is not in the theory")
         self.theory = theory
         self.table = table
-        self._view: Optional[ClassView] = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -165,6 +183,15 @@ class TableClassifier(Classifier):
     def class_of_rank(self, rank: int) -> str:
         return self.table[rank]
 
+    def _labels_produced(self) -> set[str]:
+        return set(self.table)
+
+    def _class_masks(self, view: ClassView) -> dict[str, int]:
+        masks = dict.fromkeys(self.theory.classes, 0)
+        for r, c in enumerate(self.table):
+            masks[c] |= 1 << r
+        return masks
+
     def to_json_dict(self) -> dict:
         return {
             "type": "table",
@@ -212,8 +239,7 @@ class FormulaClassifier(Classifier):
         self.formula = formula
         self.class_if_true = str(class_if_true)
         self.class_if_false = str(class_if_false)
-        self._view: Optional[ClassView] = None
-        verdict = check_surjective(self)
+        verdict = self.surjectivity
         if not verdict.ok:
             raise NotSurjective(
                 "formula is constant; class(es) "
@@ -242,10 +268,20 @@ class FormulaClassifier(Classifier):
     def classify(self, x: PartialAssignment) -> str:
         return self.class_if_true if self.truth_of(x) else self.class_if_false
 
-    def class_of_rank(self, rank: int) -> str:
-        view = class_view(self)
-        hit = (view.class_masks[self.class_if_true] >> rank) & 1
-        return self.class_if_true if hit else self.class_if_false
+    def _labels_produced(self) -> set[str]:
+        """Two calls to the built-in solver, one per class indicator."""
+        from .sat import class_indicator, sat_solve  # local import; sat builds on us
+
+        labels = (self.class_if_true, self.class_if_false)
+        return {c for c in labels if sat_solve(self.theory, class_indicator(self, c)) is not None}
+
+    def _class_masks(self, view: ClassView) -> dict[str, int]:
+        columns = {f: view.value_masks[i][1] for i, f in enumerate(self.theory.features)}
+        true_mask = evaluate_bitwise(self.formula, columns, view.full_mask)
+        return {
+            self.class_if_true: true_mask,
+            self.class_if_false: view.full_mask & ~true_mask,
+        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -280,11 +316,7 @@ class ClassView:
 
     def __init__(self, classifier: Classifier):
         theory = classifier.theory
-        n_rows = theory.instance_count()
-        if n_rows > _VIEW_LIMIT:
-            raise ClassifierError(
-                f"feature space of {n_rows} instances is too large to audit exhaustively"
-            )
+        n_rows = enumerable_count(theory)
         self.theory = theory
         self.n_rows = n_rows
         self.full_mask = (1 << n_rows) - 1
@@ -303,21 +335,7 @@ class ClassView:
                     mask |= block << (k * period)
                 per_feature.append(mask)
             self.value_masks.append(per_feature)
-
-        if isinstance(classifier, FormulaClassifier):
-            columns = {
-                f: self.value_masks[i][1] for i, f in enumerate(theory.features)
-            }
-            true_mask = evaluate_bitwise(classifier.formula, columns, self.full_mask)
-            self.class_masks = {
-                classifier.class_if_true: true_mask,
-                classifier.class_if_false: self.full_mask & ~true_mask,
-            }
-        else:
-            masks: dict[str, int] = {c: 0 for c in theory.classes}
-            for r in range(n_rows):
-                masks[classifier.class_of_rank(r)] |= 1 << r
-            self.class_masks = masks
+        self.class_masks = classifier._class_masks(self)
 
     def class_mask(self, c: str) -> int:
         try:
@@ -345,6 +363,17 @@ class ClassView:
         return mask
 
 
+def enumerable_count(theory: Theory) -> int:
+    """The theory's instance count; ClassifierError past the cap on
+    exhaustive work (views and listings)."""
+    n_rows = theory.instance_count()
+    if n_rows > _VIEW_LIMIT:
+        raise ClassifierError(
+            f"feature space of {n_rows} instances is too large to audit exhaustively"
+        )
+    return n_rows
+
+
 def ranks_in(mask: int) -> Iterator[int]:
     """Positions of the set bits of mask, ascending, in time linear in its length."""
     bits = bin(mask)[:1:-1]  # least significant bit first, "0b" dropped
@@ -355,44 +384,20 @@ def ranks_in(mask: int) -> Iterator[int]:
 
 
 def class_view(classifier: Classifier) -> ClassView:
-    view = getattr(classifier, "_view", None)
-    if view is None:
-        view = ClassView(classifier)
-        classifier._view = view
-    return view
+    """The classifier's view, built once on first read."""
+    return classifier.view
 
 
 # -- operations ----------------------------------------------------------------
 
 
-def classify(classifier: Classifier, x: PartialAssignment) -> str:
-    return classifier.classify(x)
-
-
 def check_surjective(classifier: Classifier) -> SurjectivityVerdict:
     """Is every class produced by at least one instance?
 
-    Tables are scanned; formulas amount to two satisfiability checks (the
-    formula and its negation), answered from the bit-parallel truth table.
+    Tables are scanned; formulas take two calls to the built-in solver (the
+    formula and its negation).  The verdict is computed once per classifier.
     """
-    if isinstance(classifier, FormulaClassifier):
-        view = ClassView(classifier)  # before construction finishes; no cache
-        missing = tuple(
-            c
-            for c in (classifier.class_if_true, classifier.class_if_false)
-            if view.class_masks[c] == 0
-        )
-        extra = tuple(
-            c
-            for c in classifier.theory.classes
-            if c not in (classifier.class_if_true, classifier.class_if_false)
-        )
-        return SurjectivityVerdict(not missing and not extra, missing + extra)
-    seen = set()
-    for r in range(classifier.theory.instance_count()):
-        seen.add(classifier.class_of_rank(r))
-    missing = tuple(c for c in classifier.theory.classes if c not in seen)
-    return SurjectivityVerdict(not missing, missing)
+    return classifier.surjectivity
 
 
 def core_literals(
@@ -447,14 +452,9 @@ class Query:
         if self.instance.theory is not self.theory and self.instance.theory != self.theory:
             raise TheoryMismatch("instance belongs to a different theory")
         as_instance(self.instance)
-        ok = getattr(self.classifier, "_surjective_ok", None)
-        if ok is None:
-            verdict = check_surjective(self.classifier)
-            if not verdict.ok:
-                raise NotSurjective(
-                    f"class(es) {list(verdict.missing)} are never produced"
-                )
-            object.__setattr__(self.classifier, "_surjective_ok", True)
+        verdict = self.classifier.surjectivity
+        if not verdict.ok:
+            raise NotSurjective(f"class(es) {list(verdict.missing)} are never produced")
 
     @property
     def label(self) -> str:

@@ -26,9 +26,10 @@ explanations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .classifier import Classifier, ClassView, Query, class_view, core_literals
+from .classifier import Classifier, ClassView, Query, class_view, core_literals, enumerable_count
 from .theory import (
     PartialAssignment,
     enumerate_partial_assignments,
@@ -90,16 +91,13 @@ def collect(
     kind: str, candidates: Iterable[PartialAssignment], cap: Optional[int]
 ) -> ExplanationSet:
     """The candidates in their order, at most ``cap`` of them (0 or None: all)."""
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must not be negative, got {cap}")
     if not cap:  # None or 0 both mean uncapped
         return ExplanationSet(kind, tuple(candidates))
-    out: list[PartialAssignment] = []
-    truncated = False
-    for e in candidates:
-        if len(out) == cap:
-            truncated = True
-            break
-        out.append(e)
-    return ExplanationSet(kind, tuple(out), truncated)
+    rest = iter(candidates)
+    out = tuple(islice(rest, cap))
+    return ExplanationSet(kind, out, next(rest, None) is not None)
 
 
 # -- the four primitive predicates ------------------------------------------------
@@ -225,8 +223,10 @@ def c_suf(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     Equal to { y \\ x : y an instance with a different class } — computed in
     the overwrite form, which is duplicate-free and already canonically
     ordered.  Never empty: the classifier is surjective, so some instance has
-    another class, and its difference from x qualifies.
+    another class, and its difference from x qualifies.  Builds no view, but
+    keeps the view's cap on the instance space.
     """
+    enumerable_count(query.theory)
     x, label = query.instance, query.label
     candidates = (
         e

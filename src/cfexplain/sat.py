@@ -333,25 +333,18 @@ def _model_instance(theory: Theory, model: Sequence[bool]) -> PartialAssignment:
 
 
 def sat_solve(
-    theory: Theory, formula: Formula, oracle: Optional[SatOracle] = None
+    theory: Theory,
+    formula: Formula,
+    oracle: Optional[SatOracle] = None,
+    units: Sequence[Clause] = (),
 ) -> Optional[PartialAssignment]:
-    """One satisfying instance of the formula, or None when unsatisfiable."""
+    """One satisfying instance of the formula and the unit clauses, or None
+    when unsatisfiable.  The units follow the formula's Tseitin clauses."""
     oracle = oracle if oracle is not None else SatOracle()
     clauses, n_vars = encode_formula(theory, formula)
+    clauses.extend(units)
     model = oracle.solve(clauses, n_vars)
     return None if model is None else _model_instance(theory, model)
-
-
-def _solve_with_units(
-    query_theory: Theory,
-    formula: Formula,
-    extra: Sequence[Clause],
-    oracle: SatOracle,
-) -> Optional[PartialAssignment]:
-    clauses, n_vars = encode_formula(query_theory, formula)
-    clauses.extend(extra)
-    model = oracle.solve(clauses, n_vars)
-    return None if model is None else _model_instance(query_theory, model)
 
 
 # -- boolean helpers -------------------------------------------------------------
@@ -383,7 +376,7 @@ def _in_core(
 ) -> bool:
     """In-core by one oracle call: no model of indicator gives feature i
     another value than v."""
-    return _solve_with_units(theory, indicator, [_unit_for(i, 1 - v)], oracle) is None
+    return sat_solve(theory, indicator, oracle, [_unit_for(i, 1 - v)]) is None
 
 
 def _difference_literals(x: PartialAssignment) -> list[int]:
@@ -474,7 +467,7 @@ def decide_exp(
             return False  # x itself extends the empty assignment
         indicator = class_indicator(classifier, label)
         units = [_unit_for(i, v) for i, v in e.indexed_literals()]
-        return _solve_with_units(query.theory, indicator, units, oracle) is None
+        return sat_solve(query.theory, indicator, oracle, units) is None
 
     if kind not in DERIVED_KINDS:
         raise ValueError(f"unknown explainer kind {kind!r}")
@@ -565,7 +558,7 @@ def find_exp(
         # greedy one-feature shrinking, evaluation only
         for i in list(positions):
             rest = [p for p in positions if p != i]
-            if len(rest) < len(positions) and rest and _flip_changes_class(query, rest):
+            if rest and _flip_changes_class(query, rest):
                 positions = rest
         # the first flipping subset in ascending size order is subset-minimal;
         # the scan always hits at worst the full (still flipping) set

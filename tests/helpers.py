@@ -97,6 +97,21 @@ def random_boolean_query(rng: random.Random, n_features: int) -> Query:
     return Query(theory, classifier, instance_of_rank(theory, rank))
 
 
+def planted_cnf(rng: random.Random, n_features: int, n_clauses: int) -> str:
+    """A random 3-CNF over f1..fn, as text, that a hidden instance satisfies.
+
+    Every nonempty CNF can be falsified, so both classes occur; the feature
+    space is as large as n_features makes it, past any truth-table cap."""
+    planted = [rng.randrange(2) for _ in range(n_features)]
+    clauses: list[str] = []
+    while len(clauses) < n_clauses:
+        literals = [(i, rng.randrange(2)) for i in rng.sample(range(n_features), 3)]
+        if any(planted[i] == v for i, v in literals):
+            atoms = [f"f{i + 1}" if v else f"!f{i + 1}" for i, v in literals]
+            clauses.append("(" + " | ".join(atoms) + ")")
+    return " & ".join(clauses)
+
+
 def random_subset_of(
     rng: random.Random, x: PartialAssignment, allow_empty: bool = True
 ) -> PartialAssignment:

@@ -269,6 +269,13 @@ def test_builtin_suite_is_deterministic_and_seeded():
     assert builtin_suite(budget=None).name == "builtin"
 
 
+def test_builtin_suite_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="budget must not be negative"):
+        builtin_suite(budget=-1)
+    # 0 and None both keep every generated probe
+    assert builtin_suite(budget=0).queries == builtin_suite(budget=None).queries
+
+
 def test_builtin_suite_always_carries_the_fixtures():
     small = builtin_suite(budget=10, seed=0)
     queries = set(small.queries)

@@ -1,6 +1,7 @@
 """Classifiers, bitmask views, cores, and query validation."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +31,10 @@ from cfexplain import (
     validate_theory,
 )
 
+from cfexplain import classifier as classifier_module
+from cfexplain import sat
 from cfexplain.classifier import ranks_in
-from helpers import make_theory, table_queries
+from helpers import make_theory, planted_cnf, table_queries
 
 
 # -- table classifiers -------------------------------------------------------------
@@ -118,6 +121,50 @@ def test_formula_requires_boolean_atoms_from_theory():
     t = make_theory([2, 2])
     with pytest.raises(ClassifierError):
         FormulaClassifier(t, "other", "c1", "c0")
+
+
+def test_formula_surjectivity_is_decided_past_the_view_cap():
+    t = make_theory([2] * 30)
+    with pytest.raises(NotSurjective):
+        FormulaClassifier(t, "f1 & !f1", "c1", "c0")
+
+
+def count_solver_calls(monkeypatch) -> list:
+    calls = []
+    solve = sat.dpll
+
+    def counted(clauses, n_vars):
+        calls.append(n_vars)
+        return solve(clauses, n_vars)
+
+    monkeypatch.setattr(sat, "dpll", counted)
+    return calls
+
+
+def test_formula_surjectivity_takes_two_solver_calls_once(monkeypatch):
+    calls = count_solver_calls(monkeypatch)
+    t = make_theory([2] * 40)
+    clf = FormulaClassifier(t, planted_cnf(random.Random(5), 40, 80), "c1", "c0")
+    assert len(calls) == 2
+    for r in (0, 1 << 20, (1 << 40) - 1):
+        Query(t, clf, instance_of_rank(t, r))
+    assert len(calls) == 2 and check_surjective(clf).ok
+    with pytest.raises(ClassifierError, match="too large"):
+        class_view(clf)  # built only where it is read, and capped
+
+
+def test_find_builds_no_view(monkeypatch):
+    calls = count_solver_calls(monkeypatch)
+    q = load_bundle("majority").query(1)
+    assert len(calls) == 2
+
+    def no_view(classifier):
+        raise AssertionError("a truth-table view was built")
+
+    monkeypatch.setattr(classifier_module, "ClassView", no_view)
+    oracle = sat.SatOracle()
+    assert sat.find_exp("cSuf", q, oracle=oracle) is not None
+    assert oracle.calls == 1 and len(calls) == 3
 
 
 def test_check_surjective_reports_missing():

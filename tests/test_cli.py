@@ -1,16 +1,30 @@
 """The command-line interface: payload shapes, exit codes, determinism."""
 
 import json
+import os
+import random
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cfexplain import fixture_text, is_member, load_bundle
+from cfexplain import (
+    PartialAssignment,
+    Query,
+    decide_exp,
+    fixture_text,
+    is_member,
+    load_bundle,
+    load_classifier_text,
+    load_instance_text,
+    load_theory_text,
+)
 from cfexplain.cli import main
 
 from conftest import tool
+from helpers import planted_cnf
 
 
 def run_cli(capsys, *argv):
@@ -539,18 +553,101 @@ def test_broken_sat_backend_fails_cleanly(capsys):
     assert code == 1 and out == "" and "BackendFailure" in err
 
 
+# -- formulas past the truth-table cap ---------------------------------------------
+
+
+@pytest.fixture()
+def wide_cnf_files(tmp_path):
+    """A planted 3-CNF over 40 features (2^40 instances) and one instance."""
+    rng = random.Random(40)
+    names = [f"f{i + 1}" for i in range(40)]
+    theory = {"features": [{"name": f, "domain": ["0", "1"]} for f in names],
+              "classes": ["T", "F"]}
+    files = {
+        "theory": json.dumps(theory),
+        "classifier": "classes: T,F\n" + planted_cnf(rng, 40, 80) + "\n",
+        "instance": json.dumps({f: rng.choice("01") for f in names}),
+    }
+    paths = {}
+    for flag, text in files.items():
+        path = tmp_path / f"{flag}.txt"
+        path.write_text(text)
+        paths[flag] = str(path)
+    return paths
+
+
+def wide_query(paths) -> Query:
+    theory = load_theory_text(Path(paths["theory"]).read_text())
+    classifier = load_classifier_text(
+        Path(paths["classifier"]).read_text(), theory, filename=paths["classifier"]
+    )
+    x = load_instance_text(Path(paths["instance"]).read_text(), theory)
+    return Query(theory, classifier, x)
+
+
+def wide_flags(paths, instance=True):
+    flags = ["--theory", paths["theory"], "--classifier", paths["classifier"]]
+    return flags + (["--instance", paths["instance"]] if instance else [])
+
+
+@pytest.mark.parametrize("kind, budget", [("cSuf", 1), ("sNec", 1), ("sSuf", 0)])
+def test_find_runs_past_the_view_cap(capsys, wide_cnf_files, kind, budget):
+    payload = run_json(
+        capsys, "find", *wide_flags(wide_cnf_files), "--kind", kind, "--count-oracle-calls"
+    )
+    assert payload["oracle_calls"] <= budget
+    q = wide_query(wide_cnf_files)
+    if payload["found"]:
+        e = PartialAssignment.from_dict(q.theory, payload["explanation"])
+        assert decide_exp(kind, q, e)
+    else:
+        assert kind == "sSuf"
+
+
+def test_decide_runs_past_the_view_cap(capsys, wide_cnf_files):
+    q = wide_query(wide_cnf_files)
+    flipped = {f: str(1 - v) for f, v in zip(q.theory.features, q.instance.values)}
+    payload = run_json(
+        capsys, "decide", *wide_flags(wide_cnf_files), "--kind", "cSuf",
+        "--explanation", json.dumps(flipped), "--count-oracle-calls",
+    )
+    assert payload["oracle_calls"] <= 1
+    e = PartialAssignment.from_dict(q.theory, flipped)
+    assert payload["member"] == (q.classifier.classify(e) != q.label)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("explain", "--kind", "cSuf"), ("core", "--class", "T", "--method", "scan")],
+)
+def test_listing_past_the_view_cap_fails_cleanly(capsys, wide_cnf_files, argv):
+    flags = wide_flags(wide_cnf_files, instance=argv[0] != "core")
+    code, out, err = run_cli(capsys, argv[0], *flags, *argv[1:])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ClassifierError: ")
+
+
 # -- console script -----------------------------------------------------------------
 
 
 def test_console_script_end_to_end():
     exe = shutil.which("cfexplain")
+    env = None
     if exe is None:
-        pytest.skip("console script not installed")
+        # not installed: run the same entry point from the source tree
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "cfexplain.cli"]
+    else:
+        command = [exe]
     proc = subprocess.run(
-        [exe, "explain", "--fixture", "vacation", "--kind", "gnec"],
+        [*command, "explain", "--fixture", "vacation", "--kind", "gnec"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["explanations"] == [{"t": "hot"}]

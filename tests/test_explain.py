@@ -9,7 +9,9 @@ from cfexplain import (
     Query,
     c_suf,
     explanation_set_from_json,
+    feat_min,
     g_nec,
+    generate,
     g_suf,
     is_member,
     load_bundle,
@@ -144,6 +146,15 @@ def test_canonical_order_and_cap():
 
     # cap=None and cap=0 both mean "no cap"
     assert g_suf(q, cap=0).explanations == full.explanations
+
+
+def test_negative_cap_is_rejected():
+    q = vac().query(1)
+    with pytest.raises(ValueError, match="cap must not be negative"):
+        generate("cSuf", q, cap=-3)
+    with pytest.raises(ValueError, match="cap must not be negative"):
+        feat_min(q, cap=-1)
+    assert not generate("cSuf", q, cap=0).truncated
 
 
 def test_set_container_api():
