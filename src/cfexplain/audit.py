@@ -6,15 +6,23 @@ verdict is either "no-violation-found" — over that suite, never a proof — or
 witness instance).  ``audit`` produces the full per-axiom profile and, for
 the built-in explainers, compares it against the expected pattern.
 
+Seven axioms judge each offered explanation on its own query; ``_violation``
+is the one test for each of them.  Verdicts come from one pass
+(``_first_violations``): queries in suite order, each output in its order,
+keeping the first counterexample per axiom.  Success looks at whole outputs
+and Equivalence at same-class query pairs.
+
 ``classify_family`` detects "always a subset of <family>" tags two ways —
 direct set inclusion against the enumeration oracles, and the axiom
 combinations that characterize each family — so the two routes can be
 cross-validated.
 
 ``impossibility_witness`` returns concrete constructions on which certain
-axiom sets cannot be satisfied together by any explanation set, plus a
-machine check of the conflict; ``compatibility_witnesses`` are explainers
-realizing specific axiom subsets.
+axiom sets cannot be satisfied together by any explanation set.
+``check_impossibility`` confirms a set when no assignment passes every
+per-explanation axiom of the set on every witness query, and a witness pair
+is same-class under an Equivalence of the set.  ``compatibility_witnesses``
+are explainers realizing specific axiom subsets.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .bundles import load_bundle
 from .classifier import (
+    ClassView,
     Query,
     TableClassifier,
     class_view,
@@ -34,6 +43,7 @@ from .classifier import (
 )
 from .derived import card_min, dist_min, feat_min
 from .explain import (
+    CORE_KINDS,
     ExplanationSet,
     c_suf,
     class_context,
@@ -41,6 +51,7 @@ from .explain import (
     explanation_set_from_json,
     g_nec,
     g_suf,
+    generate,
     overwrite_flips,
     s_nec,
     s_suf,
@@ -53,8 +64,6 @@ from .theory import (
     enumerate_instances,
     enumerate_partial_assignments,
     instance_of_rank,
-    novel_assignments,
-    subsets_of,
     substitute,
     validate_theory,
 )
@@ -139,21 +148,6 @@ def _outputs(
     return {q: explainer(q) for q in suite}
 
 
-def _check_success(outputs) -> Optional[Counterexample]:
-    for q, out in outputs.items():
-        if out.count == 0:
-            return Counterexample(q, detail="empty explanation set")
-    return None
-
-
-def _check_non_triviality(outputs) -> Optional[Counterexample]:
-    for q, out in outputs.items():
-        for e in out:
-            if e.is_empty:
-                return Counterexample(q, e, detail="empty assignment offered")
-    return None
-
-
 def _equivalence_key(q: Query) -> tuple:
     # identify the classification function extensionally, not by object
     view = class_view(q.classifier)
@@ -181,87 +175,80 @@ def _check_equivalence(outputs) -> Optional[Counterexample]:
     return None
 
 
-def _check_feasibility(outputs) -> Optional[Counterexample]:
-    for q, out in outputs.items():
-        for e in out:
-            if not e.subset_of(q.instance):
-                return Counterexample(q, e, detail="explanation not part of x")
-    return None
-
-
-def _check_coreness(outputs) -> Optional[Counterexample]:
-    for q, out in outputs.items():
-        view, cmask = class_context(q)
-        for e in out:
-            if core_offenders(view, cmask, e):
-                core = core_literals(q.classifier, q.label)
-                return Counterexample(
-                    q, e, detail=f"not inside the class core ({core.render()})"
-                )
-    return None
-
-
 def _first_instance(q: Query, mask: int) -> PartialAssignment:
     return instance_of_rank(q.theory, next(ranks_in(mask)))
 
 
-def _check_sceptical_validity(outputs) -> Optional[Counterexample]:
-    # vacuous for explanations that are not part of x (empty residual)
+# The axioms that judge each offered explanation on its own query.
+_PER_EXPLANATION = tuple(a for a in AXIOMS if a not in ("Success", "Equivalence"))
+
+
+def _violation(
+    axiom: str, q: Query, view: ClassView, cmask: int, e: PartialAssignment
+) -> Optional[tuple[Optional[PartialAssignment], str]]:
+    """(witness, detail) when e, offered for q, violates the axiom, else None.
+
+    ``axiom`` is one of _PER_EXPLANATION; (view, cmask) is q's class context.
+    ScepticalValidity is vacuous for an e that is not part of x.
+    """
+    x = q.instance
+    if axiom == "NonTriviality":
+        return (None, "empty assignment offered") if e.is_empty else None
+    if axiom == "Feasibility":
+        return None if e.subset_of(x) else (None, "explanation not part of x")
+    if axiom == "Coreness":
+        if not core_offenders(view, cmask, e):
+            return None
+        core = core_literals(q.classifier, q.label)
+        return None, f"not inside the class core ({core.render()})"
+    if axiom == "ScepticalValidity":
+        bad = sceptical_offenders(view, cmask, x, e)
+        if not bad:
+            return None
+        return _first_instance(q, bad), "an exact-change variant keeps the class"
+    if axiom == "Novelty":
+        return None if e.disjoint_from(x) else (None, "shares a literal with x")
+    if axiom == "StrongValidity":
+        bad = strong_offenders(view, cmask, e)
+        if not bad:
+            return None
+        return _first_instance(q, bad), "an extension keeps the class"
+    if axiom == "WeakValidity":
+        if overwrite_flips(q.classifier, x, q.label, e):
+            return None
+        return substitute(x, e), "overwriting x does not change the class"
+    raise ValueError(f"{axiom!r} is not a per-explanation axiom")
+
+
+def _first_violations(
+    outputs: Mapping[Query, ExplanationSet], axioms: Sequence[str]
+) -> dict[str, Counterexample]:
+    """The first counterexample to each of the axioms that has one.
+
+    One pass over the queries in suite order, and over each output in its
+    order; an axiom is no longer tested once it has a counterexample.
+    """
+    found: dict[str, Counterexample] = {}
+    if "Equivalence" in axioms:
+        cx = _check_equivalence(outputs)
+        if cx is not None:
+            found["Equivalence"] = cx
+    success = "Success" in axioms
+    pending = [a for a in axioms if a in _PER_EXPLANATION]
     for q, out in outputs.items():
+        if success and not out.count:
+            found["Success"] = Counterexample(q, detail="empty explanation set")
+            success = False
+        if not (out.count and pending):
+            continue
         view, cmask = class_context(q)
         for e in out:
-            bad = sceptical_offenders(view, cmask, q.instance, e)
-            if bad:
-                witness = _first_instance(q, bad)
-                return Counterexample(
-                    q, e, witness, detail="an exact-change variant keeps the class"
-                )
-    return None
-
-
-def _check_novelty(outputs) -> Optional[Counterexample]:
-    for q, out in outputs.items():
-        for e in out:
-            if not e.disjoint_from(q.instance):
-                return Counterexample(q, e, detail="shares a literal with x")
-    return None
-
-
-def _check_strong_validity(outputs) -> Optional[Counterexample]:
-    for q, out in outputs.items():
-        view, cmask = class_context(q)
-        for e in out:
-            bad = strong_offenders(view, cmask, e)
-            if bad:
-                witness = _first_instance(q, bad)
-                return Counterexample(
-                    q, e, witness, detail="an extension keeps the class"
-                )
-    return None
-
-
-def _check_weak_validity(outputs) -> Optional[Counterexample]:
-    for q, out in outputs.items():
-        for e in out:
-            if not overwrite_flips(q.classifier, q.instance, q.label, e):
-                y = substitute(q.instance, e)
-                return Counterexample(
-                    q, e, y, detail="overwriting x does not change the class"
-                )
-    return None
-
-
-_CHECKS = {
-    "Success": _check_success,
-    "NonTriviality": _check_non_triviality,
-    "Equivalence": _check_equivalence,
-    "Feasibility": _check_feasibility,
-    "Coreness": _check_coreness,
-    "ScepticalValidity": _check_sceptical_validity,
-    "Novelty": _check_novelty,
-    "StrongValidity": _check_strong_validity,
-    "WeakValidity": _check_weak_validity,
-}
+            for axiom in tuple(pending):
+                hit = _violation(axiom, q, view, cmask, e)
+                if hit is not None:
+                    found[axiom] = Counterexample(q, e, hit[0], detail=hit[1])
+                    pending.remove(axiom)
+    return found
 
 
 def check_axiom(
@@ -271,11 +258,11 @@ def check_axiom(
     outputs: Optional[Mapping[Query, ExplanationSet]] = None,
 ) -> Verdict:
     """Evaluate one axiom over the suite; first violation wins (suite order)."""
-    if axiom not in _CHECKS:
+    if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}")
     if outputs is None:
         outputs = _outputs(explainer, suite)
-    cx = _CHECKS[axiom](outputs)
+    cx = _first_violations(outputs, (axiom,)).get(axiom)
     return Verdict(axiom, cx is not None, cx)
 
 
@@ -418,24 +405,14 @@ def audit(
     expected: Optional[Mapping[str, bool]] = None,
 ) -> AxiomProfile:
     """Run all nine axiom checks; one explainer invocation per query."""
-    outputs = _outputs(explainer, suite)
-    verdicts = tuple(
-        check_axiom(a, explainer, suite, outputs) for a in AXIOMS
-    )
+    found = _first_violations(_outputs(explainer, suite), AXIOMS)
+    verdicts = tuple(Verdict(a, a in found, found.get(a)) for a in AXIOMS)
     if expected is None:
         expected = EXPECTED_PROFILES.get(name)
     return AxiomProfile(name, suite_name, verdicts, expected)
 
 
 # -- family classification --------------------------------------------------------
-
-_FAMILY_ORACLES = {
-    "gNec": g_nec,
-    "sNec": s_nec,
-    "gSuf": g_suf,
-    "sSuf": s_suf,
-    "cSuf": c_suf,
-}
 
 # Axiom combinations equivalent to "always a subset of <family>".
 _FAMILY_AXIOMS = {
@@ -467,19 +444,16 @@ class FamilyReport:
 def classify_family(explainer: Explainer, suite: Sequence[Query]) -> FamilyReport:
     """Which families contain every output of this explainer, both ways."""
     outputs = _outputs(explainer, suite)
-    inclusion = set()
-    for family, oracle in _FAMILY_ORACLES.items():
-        if all(
-            outputs[q].assignments() <= oracle(q).assignments() for q in suite
-        ):
-            inclusion.add(family)
-    pattern = {
-        a: check_axiom(a, explainer, suite, outputs).ok for a in AXIOMS
+    inclusion = {
+        family
+        for family in CORE_KINDS
+        if all(outputs[q].assignments() <= generate(family, q).assignments() for q in suite)
     }
+    found = _first_violations(outputs, _PER_EXPLANATION)
     axiom_side = {
         family
         for family, needed in _FAMILY_AXIOMS.items()
-        if all(pattern[a] for a in needed)
+        if not any(a in found for a in needed)
     }
     return FamilyReport(frozenset(inclusion), frozenset(axiom_side))
 
@@ -629,102 +603,71 @@ def impossibility_witness(set_id: str) -> ImpossibilityWitness:
     return ImpossibilityWitness(set_id, axioms, q1, narrative, other_query=q2)
 
 
+# The trace of each confirmed conflict; {subsets} is the number of parts of x.
+_CONFLICT_TRACES = {
+    "I1": (
+        "core of the class is empty; NonTriviality+Coreness admit no "
+        "explanation, so Success must fail"
+    ),
+    "I2": (
+        "every part of x (all {subsets} subsets) has an exact-change variant "
+        "keeping the class; Feasibility+ScepticalValidity admit no "
+        "explanation, so Success must fail"
+    ),
+    "I3": (
+        "every assignment sharing nothing with x has an extension keeping "
+        "the class; Novelty+StrongValidity admit no explanation, so Success "
+        "must fail"
+    ),
+    "I4": (
+        "no nonempty assignment is both part of x and disjoint from x; "
+        "Feasibility+Novelty+NonTriviality admit no explanation, so Success "
+        "must fail"
+    ),
+    "I5": (
+        "overwriting x with any of its own parts keeps the class; "
+        "Feasibility+WeakValidity admit no explanation, so Success must fail"
+    ),
+    "I6": (
+        "same-class instances sharing no literal: Equivalence makes the sets "
+        "equal, Feasibility bounds members by both instances, leaving only "
+        "the empty assignment, against NonTriviality and Success"
+    ),
+    "I7": (
+        "the two same-class instances jointly use every feature value: "
+        "Equivalence makes the sets equal, Novelty forbids every literal, "
+        "leaving only the empty assignment, against NonTriviality and Success"
+    ),
+}
+
+
 def check_impossibility(witness: ImpossibilityWitness) -> tuple[bool, str]:
     """Machine-verify the conflict on the witness construction.
 
     Returns (confirmed, trace).  Confirmed means: on this query (pair), no
-    explanation set whatsoever can satisfy all the named axioms.
+    explanation set whatsoever can satisfy all the named axioms.  That holds
+    exactly when no assignment of the theory passes every per-explanation
+    axiom of the set on every witness query, and a witness pair is
+    same-class under an Equivalence of the set: Success needs a member, and
+    Equivalence makes a same-class pair share its members.
     """
-    q = witness.query
-    x = q.instance
-    view, cmask = class_context(q)
-    set_id = witness.set_id
-
-    if set_id == "I1":
-        core = core_literals(q.classifier, q.label)
-        if not core.is_empty:
-            return False, f"core is {core.render()}, not empty"
-        return True, (
-            "core of the class is empty; NonTriviality+Coreness admit no "
-            "explanation, so Success must fail"
-        )
-
-    if set_id == "I2":
-        for e in subsets_of(x, min_size=0):
-            if not sceptical_offenders(view, cmask, x, e):
-                return False, f"{e.render()} passes the sceptical test"
-        return True, (
-            "every part of x (all "
-            f"{2 ** x.size} subsets) has an exact-change variant keeping "
-            "the class; Feasibility+ScepticalValidity admit no "
-            "explanation, so Success must fail"
-        )
-
-    if set_id == "I3":
-        for e in novel_assignments(x, min_size=0):
-            if not strong_offenders(view, cmask, e):
-                return False, f"{e.render()} passes the strong test"
-        return True, (
-            "every assignment sharing nothing with x has an extension "
-            "keeping the class; Novelty+StrongValidity admit no "
-            "explanation, so Success must fail"
-        )
-
-    if set_id == "I4":
-        for e in enumerate_partial_assignments(q.theory):
-            if not e.is_empty and e.subset_of(x) and e.disjoint_from(x):
-                return False, f"{e.render()} is nonempty, feasible and novel"
-        return True, (
-            "no nonempty assignment is both part of x and disjoint from "
-            "x; Feasibility+Novelty+NonTriviality admit no explanation, "
-            "so Success must fail"
-        )
-
-    if set_id == "I5":
-        for e in subsets_of(x, min_size=0):
-            if overwrite_flips(q.classifier, x, q.label, e):
-                return False, f"{e.render()} changes the class"
-        return True, (
-            "overwriting x with any of its own parts keeps the class; "
-            "Feasibility+WeakValidity admit no explanation, so Success "
-            "must fail"
-        )
-
-    other = witness.other_query
-    assert other is not None
-    y = other.instance
-    if q.label != other.label:
-        return False, "the two instances are not same-class"
-
-    if set_id == "I6":
-        if not x.disjoint_from(y):
-            return False, "the two instances share a literal"
-        for e in enumerate_partial_assignments(q.theory):
-            if not e.is_empty and e.subset_of(x) and e.subset_of(y):
-                return False, f"{e.render()} is feasible for both instances"
-        return True, (
-            "same-class instances sharing no literal: Equivalence makes "
-            "the sets equal, Feasibility bounds members by both "
-            "instances, leaving only the empty assignment, against "
-            "NonTriviality and Success"
-        )
-
-    if set_id == "I7":
-        for e in enumerate_partial_assignments(q.theory):
-            if (
-                not e.is_empty
-                and e.disjoint_from(x)
-                and e.disjoint_from(y)
-            ):
-                return False, f"{e.render()} is novel for both instances"
-        return True, (
-            "the two same-class instances jointly use every feature "
-            "value: Equivalence makes the sets equal, Novelty forbids "
-            "every literal, leaving only the empty assignment, against "
-            "NonTriviality and Success"
-        )
-
-    raise ValueError(f"unknown impossibility set {set_id!r}")
+    queries = [q for q in (witness.query, witness.other_query) if q is not None]
+    if len(queries) > 1 and (
+        "Equivalence" not in witness.axioms
+        or len({_equivalence_key(q) for q in queries}) > 1
+    ):
+        return False, "Equivalence does not make the witness queries share members"
+    axioms = [a for a in witness.axioms if a in _PER_EXPLANATION]
+    contexts = [(q, *class_context(q)) for q in queries]
+    for e in enumerate_partial_assignments(witness.query.theory):
+        if all(
+            _violation(a, q, view, cmask, e) is None
+            for q, view, cmask in contexts
+            for a in axioms
+        ):
+            return False, f"{e.render()} passes {'+'.join(axioms)} on every witness query"
+    trace = _CONFLICT_TRACES[witness.set_id]
+    return True, trace.format(subsets=2 ** witness.query.instance.size)
 
 
 # -- compatibility witnesses -------------------------------------------------------
@@ -799,8 +742,10 @@ class Suite:
     queries: tuple[Query, ...]
 
 
-def _all_two_feature_tables() -> list[Query]:
-    """Every surjective 2-class table over 2 features with domains in {2,3}."""
+def generated_probe_queries() -> list[Query]:
+    """The exhaustive 2-feature probe regime: every surjective 2-class table
+    over 2 features with domains in {2,3} (648 classifiers), at every
+    instance."""
     out: list[Query] = []
     for sizes in ((2, 2), (2, 3), (3, 2), (3, 3)):
         theory = validate_theory(
@@ -821,11 +766,6 @@ def _all_two_feature_tables() -> list[Query]:
                     Query(theory, classifier, instance_of_rank(theory, r))
                 )
     return out
-
-
-def generated_probe_queries() -> list[Query]:
-    """The exhaustive 2-feature probe regime (648 classifiers)."""
-    return _all_two_feature_tables()
 
 
 def builtin_suite(budget: Optional[int] = 1500, seed: int = 0) -> Suite:

@@ -127,7 +127,3 @@ def load_bundle(name: str) -> Bundle:
         classifier = load_classifier_text(text, theory, kind="table")
         instances = _csv_instances(text, theory)
     return Bundle(name, theory, classifier, instances)
-
-
-def fixture_queries(name: str) -> tuple[Query, ...]:
-    return load_bundle(name).queries()

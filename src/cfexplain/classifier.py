@@ -167,21 +167,9 @@ class TableClassifier(Classifier):
             rows.append((row, label))
         return TableClassifier.from_rows(theory, rows)
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(list(self.theory.features) + ["class"])
-        for r, label in enumerate(self.table):
-            x = instance_of_rank(self.theory, r)
-            writer.writerow([v for _, v in x.literals()] + [label])
-        return out.getvalue()
-
     def classify(self, x: PartialAssignment) -> str:
         self._check_instance(x)
         return self.table[rank_of(x)]
-
-    def class_of_rank(self, rank: int) -> str:
-        return self.table[rank]
 
     def _labels_produced(self) -> set[str]:
         return set(self.table)
@@ -456,8 +444,9 @@ class Query:
         if not verdict.ok:
             raise NotSurjective(f"class(es) {list(verdict.missing)} are never produced")
 
-    @property
+    @cached_property
     def label(self) -> str:
+        """x's class, classified once (the fields are frozen)."""
         return self.classifier.classify(self.instance)
 
     def to_json_dict(self) -> dict:

@@ -266,9 +266,6 @@ class SatOracle:
         self.calls += 1
         return self.backend.solve(clauses, n_vars)
 
-    def reset(self) -> None:
-        self.calls = 0
-
 
 # -- encodings -------------------------------------------------------------------
 

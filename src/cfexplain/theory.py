@@ -78,9 +78,6 @@ class Theory:
     def instance_count(self) -> int:
         return math.prod(len(d) for d in self.domains)
 
-    def assignment_count(self) -> int:
-        return math.prod(len(d) + 1 for d in self.domains)
-
     def to_json_dict(self) -> dict:
         return {
             "features": [
@@ -194,9 +191,6 @@ class PartialAssignment:
 
     def feature_positions(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v is not None)
-
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(self.theory.features[i] for i in self.feature_positions())
 
     def indexed_literals(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, v) for i, v in enumerate(self.values) if v is not None)

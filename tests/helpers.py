@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import random
 from typing import Optional, Sequence
@@ -37,6 +39,17 @@ def make_theory(
             "classes": [f"c{i}" for i in range(n_classes)],
         }
     )
+
+
+def table_to_csv(classifier: TableClassifier) -> str:
+    """The CSV form ``TableClassifier.from_csv`` reads, rows in rank order."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(classifier.theory.features) + ["class"])
+    for r, label in enumerate(classifier.table):
+        x = instance_of_rank(classifier.theory, r)
+        writer.writerow([v for _, v in x.literals()] + [label])
+    return out.getvalue()
 
 
 def table_from_pattern(theory: Theory, pattern: int) -> TableClassifier:

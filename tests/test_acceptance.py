@@ -7,6 +7,7 @@ end to end.  conftest.py prints a per-criterion PASS/FAIL summary after the
 run.  Timing ceilings are asserted where a guarantee includes one.
 """
 
+import hashlib
 import io
 import itertools
 import json
@@ -463,3 +464,19 @@ def test_criterion_7():
     assert report["mismatch_count"] == 0
     assert report["implication_breaks"] == []
     assert [p["explainer"] for p in report["profiles"]] == list(CORE_KINDS)
+
+
+# The behavioural contract: these reports stay byte-identical across refactors.
+CONTRACT_DIGESTS = {
+    ("audit", "--builtin"): "7326930b3caab1154195e10c10da99ca66961c05584f1d7223f4e4be1a45ee84",
+    ("witness", "--all"): "a0f8ffa1470588fd6b930b04eadf3851e5744b9a180e0d8b00299e1b8566fa26",
+    ("witness", "--compat"): "d643611c9e97bf52d378e2825433bc2ebad3b6f4660fb9485210d6cf92f53e84",
+}
+
+
+def test_contract_digests_are_pinned():
+    """The SHA-256 of each contract report's stdout is the pinned one."""
+    for argv, digest in CONTRACT_DIGESTS.items():
+        code, text = _run_cli(list(argv))
+        assert code == 0, argv
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, argv

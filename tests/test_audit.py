@@ -1,6 +1,10 @@
 """Axiom checks, expected profiles, impossibility and compatibility witnesses."""
 
+import importlib.util
+import re
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from cfexplain import (
     AXIOMS,
     EXPECTED_PROFILES,
     EXPLAINERS,
+    FIXTURES,
     IMPOSSIBILITY_SETS,
     ExternalExplainer,
     ExternalExplainerFailure,
@@ -24,6 +29,7 @@ from cfexplain import (
     constant_empty,
     g_nec,
     impossibility_witness,
+    instance_of_rank,
     load_bundle,
     old_values,
     profile_inconsistencies,
@@ -231,9 +237,121 @@ def test_impossibility_witnesses_confirm(set_id):
     assert trace
 
 
+def test_impossibility_checked_on_other_queries():
+    q1 = load_bundle("vacation").query(1)  # hot climbing: beach, core {t=hot}
+    # the first passing assignment in canonical order refutes the set
+    first = {"I1": "t=hot", "I2": "t=hot", "I3": "t=mild", "I6": "t=hot", "I7": "t=mild"}
+    for set_id, e in first.items():
+        w = replace(impossibility_witness(set_id), query=q1)
+        if w.other_query is not None:
+            w = replace(w, other_query=q1)
+        confirmed, trace = check_impossibility(w)
+        assert not confirmed, set_id
+        assert trace.startswith(f"{e} passes "), (set_id, trace)
+    # a pair shares members only when Equivalence binds a same-class pair
+    i6 = impossibility_witness("I6")
+    unbound = replace(i6, axioms=tuple(a for a in i6.axioms if a != "Equivalence"))
+    assert not check_impossibility(unbound)[0]
+    q2 = load_bundle("vacation").query(2)  # mild climbing: mountain
+    assert q2.label != q1.label
+    mixed = replace(impossibility_witness("I7"), query=q1, other_query=q2)
+    assert not check_impossibility(mixed)[0]
+    # I4 and I5 hold on any query
+    for name in FIXTURES:
+        for q in load_bundle(name).queries():
+            for set_id in ("I4", "I5"):
+                w = replace(impossibility_witness(set_id), query=q)
+                assert check_impossibility(w)[0], (name, set_id, q.instance.render())
+
+
 def test_impossibility_witness_unknown_id():
     with pytest.raises(KeyError):
         impossibility_witness("I8")
+
+
+# -- the audit against the reference checker ----------------------------------------------
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+
+
+def _load_reference():
+    """bench/reference.py by file path; it must stay free of cfexplain."""
+    source = REFERENCE.read_text()
+    assert not re.search(r"^\s*(import|from)\s+cfexplain", source, re.MULTILINE)
+    spec = importlib.util.spec_from_file_location("cfexplain_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reference_oracle(ref, q):
+    theory = q.theory
+    labels = [
+        q.classifier.classify(instance_of_rank(theory, r))
+        for r in range(theory.instance_count())
+    ]
+    table = ref.Table.from_labels([len(d) for d in theory.domains], labels)
+    return ref.Oracle(table, q.instance.values)
+
+
+def _reference_finds_violation(ref, axiom, queries, oracles, outputs):
+    """Brute force: any explanation, other query or witness instance that
+    the reference checker counts as a violation of the axiom."""
+    if axiom == "Success":
+        return any(ref.violates(axiom, oracles[q], outputs[q], None, None) for q in queries)
+    if axiom == "Equivalence":
+        groups = {}
+        for q in queries:
+            masks = tuple(sorted(oracles[q].t.class_masks.items()))
+            groups.setdefault((q.theory, masks), []).append(q)
+        return any(
+            ref.violates(axiom, oracles[q1], outputs[q1], e, None, oracles[q2], outputs[q2])
+            for members in groups.values()
+            for i, q1 in enumerate(members)
+            for q2 in members[i + 1 :]
+            for e in set(outputs[q1]) | set(outputs[q2])
+        )
+    for q in queries:
+        oracle = oracles[q]
+        witnesses = [None] + [oracle.t.instance(r) for r in range(oracle.t.rows)]
+        for e in outputs[q]:
+            if any(ref.violates(axiom, oracle, outputs[q], e, w) for w in witnesses):
+                return True
+    return False
+
+
+def test_audit_verdicts_agree_with_the_reference_checker():
+    """Every explainer on the fixture and witness queries plus seeded probes:
+    each counterexample violates its axiom by the reference's definitions,
+    and where the audit finds none, a brute force over the reference's
+    outputs and every instance as witness finds none either."""
+    ref = _load_reference()
+    queries = builtin_suite(budget=150, seed=20261018).queries
+    oracles = {q: _reference_oracle(ref, q) for q in queries}
+
+    def values(a):
+        return None if a is None else a.values
+
+    for name, explainer in EXPLAINERS.items():
+        profile = audit(explainer, queries, name=name)
+        outputs = {q: oracles[q].explainer_output(name) for q in queries}
+        for verdict in profile.verdicts:
+            cx = verdict.counterexample
+            if verdict.ok:
+                assert not _reference_finds_violation(
+                    ref, verdict.axiom, queries, oracles, outputs
+                ), (name, verdict.axiom)
+                continue
+            other = cx.other_query
+            assert ref.violates(
+                verdict.axiom,
+                oracles[cx.query],
+                outputs[cx.query],
+                values(cx.explanation),
+                values(cx.witness),
+                None if other is None else oracles[other],
+                () if other is None else outputs[other],
+            ), (name, verdict.axiom)
 
 
 # -- compatibility witnesses -----------------------------------------------------------------

@@ -34,7 +34,7 @@ from cfexplain import (
 from cfexplain import classifier as classifier_module
 from cfexplain import sat
 from cfexplain.classifier import ranks_in
-from helpers import make_theory, planted_cnf, table_queries
+from helpers import make_theory, planted_cnf, table_queries, table_to_csv
 
 
 # -- table classifiers -------------------------------------------------------------
@@ -46,7 +46,7 @@ def test_table_construction_and_lookup():
     clf = vac.classifier
     x1 = PartialAssignment.from_dict(t, {"t": "hot", "a": "climbing"})
     assert clf.classify(x1) == "beach"
-    assert clf.class_of_rank(rank_of(x1)) == "beach"
+    assert clf.table[rank_of(x1)] == "beach"
     labels = [clf.classify(x) for x in enumerate_instances(t)]
     assert labels == [
         "beach", "beach", "beach",
@@ -67,7 +67,7 @@ def test_table_errors():
 
 def test_table_csv_round_trip():
     vac = load_bundle("vacation")
-    text = vac.classifier.to_csv()
+    text = table_to_csv(vac.classifier)
     again = TableClassifier.from_csv(text, vac.theory)
     assert again.to_json_dict() == vac.classifier.to_json_dict()
 
@@ -188,7 +188,7 @@ def test_check_surjective_reports_missing():
 def brute_class_mask(clf, c):
     mask = 0
     for r in range(clf.theory.instance_count()):
-        if clf.class_of_rank(r) == c:
+        if clf.classify(instance_of_rank(clf.theory, r)) == c:
             mask |= 1 << r
     return mask
 

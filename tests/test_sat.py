@@ -221,8 +221,6 @@ def test_oracle_counts_calls():
     oracle.solve([(1,)], 1)
     oracle.solve([(1,), (-1,)], 1)
     assert oracle.calls == 2
-    oracle.reset()
-    assert oracle.calls == 0
 
 
 # -- oracle-bounded membership and search ----------------------------------------------
