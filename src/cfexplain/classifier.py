@@ -24,6 +24,7 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .formulas import Formula, evaluate, evaluate_bitwise, parse_formula
@@ -111,11 +112,12 @@ class TableClassifier(Classifier):
                 f"table has {len(table)} rows; theory has {n} instances"
             )
         known = set(theory.classes)
-        for c in table:
-            if c not in known:
-                raise UnknownClass(f"class {c!r} is not in the theory")
+        if not known.issuperset(table):
+            unknown = next(c for c in table if c not in known)
+            raise UnknownClass(f"class {unknown!r} is not in the theory")
         self.theory = theory
         self.table = table
+        self._hash = hash((theory, table))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -125,47 +127,95 @@ class TableClassifier(Classifier):
         )
 
     def __hash__(self) -> int:
-        return hash((self.theory, self.table))
+        return self._hash
 
     @staticmethod
     def from_rows(
         theory: Theory, rows: Iterable[tuple[Mapping, str]]
     ) -> "TableClassifier":
         """Build from (instance mapping, class) pairs covering all instances."""
-        n = theory.instance_count()
-        table: list[Optional[str]] = [None] * n
-        for mapping, label in rows:
-            x = PartialAssignment.from_dict(theory, mapping)
-            as_instance(x)
-            r = rank_of(x)
-            if table[r] is not None:
-                raise ClassifierError(f"instance {x.render()} listed twice")
-            table[r] = str(label)
-        missing = [instance_of_rank(theory, r).render() for r, c in enumerate(table) if c is None]
-        if missing:
-            raise IncompleteTable(
-                f"table misses {len(missing)} instance(s), e.g. {missing[0]}"
-            )
-        return TableClassifier(theory, table)  # type: ignore[arg-type]
+        features = theory.features
+        names = set(features)
+
+        def cells(mapping: Mapping, label: str) -> list[str]:
+            named = {str(f): str(v) for f, v in mapping.items()}
+            if len(named) != len(mapping) or named.keys() != names:
+                as_instance(PartialAssignment.from_dict(theory, mapping))  # raises
+            return [named[f] for f in features] + [str(label)]
+
+        return TableClassifier._from_cells(
+            theory, features, (cells(mapping, label) for mapping, label in rows)
+        )
 
     @staticmethod
     def from_csv(text: str, theory: Theory) -> "TableClassifier":
-        """Parse a CSV with one column per feature plus a 'class' column."""
-        reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None:
+        """Parse a CSV with one column per feature plus a 'class' column.
+
+        The columns and the rows may come in any order; blank lines are
+        skipped.
+        """
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header is None:
             raise ClassifierError("empty classifier CSV")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise ClassifierError(f"CSV header repeats column(s) {repeated}")
         expected = set(theory.features) | {"class"}
-        got = set(reader.fieldnames)
+        got = set(header)
         if got != expected:
             raise ClassifierError(
                 f"CSV columns {sorted(got)} do not match features + 'class' "
                 f"({sorted(expected)})"
             )
-        rows = []
-        for row in reader:
-            label = row.pop("class")
-            rows.append((row, label))
-        return TableClassifier.from_rows(theory, rows)
+        columns = [c for c in header if c != "class"]
+        pick = itemgetter(*(header.index(c) for c in columns), header.index("class"))
+        width = len(header)
+
+        def cells() -> Iterator[tuple[str, ...]]:
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise ClassifierError(
+                        f"CSV line {reader.line_num} has {len(row)} field(s); "
+                        f"the header has {width}"
+                    )
+                yield pick(row)
+
+        return TableClassifier._from_cells(theory, columns, cells())
+
+    @staticmethod
+    def _from_cells(
+        theory: Theory, columns: Sequence[str], rows: Iterable[Sequence[str]]
+    ) -> "TableClassifier":
+        """The table of rows that hold one value per feature, in ``columns``
+        order, then the class.  A row's rank is the sum of its values'
+        ``position * stride``, one dict lookup per value."""
+        st = strides(theory)
+        lookups = []
+        for f in columns:
+            i = theory.feature_position(f)
+            lookups.append({v: p * st[i] for p, v in enumerate(theory.domains[i])})
+        table: list[Optional[str]] = [None] * theory.instance_count()
+        for row in rows:
+            try:
+                r = sum(map(getitem, lookups, row))
+            except KeyError:
+                for f, v in zip(columns, row):
+                    theory.value_position(f, v)  # raises on the first bad value
+                raise
+            if table[r] is not None:
+                raise ClassifierError(
+                    f"instance {instance_of_rank(theory, r).render()} listed twice"
+                )
+            table[r] = row[-1]
+        if None in table:
+            raise IncompleteTable(
+                f"table misses {table.count(None)} instance(s), e.g. "
+                f"{instance_of_rank(theory, table.index(None)).render()}"
+            )
+        return TableClassifier(theory, table)  # type: ignore[arg-type]
 
     def classify(self, x: PartialAssignment) -> str:
         self._check_instance(x)
@@ -175,10 +225,13 @@ class TableClassifier(Classifier):
         return set(self.table)
 
     def _class_masks(self, view: ClassView) -> dict[str, int]:
-        masks = dict.fromkeys(self.theory.classes, 0)
-        for r, c in enumerate(self.table):
-            masks[c] |= 1 << r
-        return masks
+        """One character per rank, highest rank first, coding its class;
+        each class's mask is that string translated to a bit string."""
+        classes = self.theory.classes
+        code = {c: chr(k) for k, c in enumerate(classes)}
+        codes = "".join(map(code.__getitem__, reversed(self.table)))
+        bits = dict.fromkeys(range(len(classes)), "0")
+        return {c: int(codes.translate({**bits, k: "1"}), 2) for k, c in enumerate(classes)}
 
     def to_json_dict(self) -> dict:
         return {
@@ -308,21 +361,12 @@ class ClassView:
         self.theory = theory
         self.n_rows = n_rows
         self.full_mask = (1 << n_rows) - 1
-        st = strides(theory)
         self.value_masks: list[list[int]] = []
-        for i, domain in enumerate(theory.domains):
-            stride, m = st[i], len(domain)
-            period = stride * m
-            run = (1 << stride) - 1
-            repeats = n_rows // period
-            per_feature = []
-            for v in range(m):
-                block = run << (v * stride)
-                mask = 0
-                for k in range(repeats):
-                    mask |= block << (k * period)
-                per_feature.append(mask)
-            self.value_masks.append(per_feature)
+        for stride, domain in zip(strides(theory), theory.domains):
+            run, period = (1 << stride) - 1, stride * len(domain)
+            self.value_masks.append(
+                [_tile(run << (v * stride), period, n_rows) for v in range(len(domain))]
+            )
         self.class_masks = classifier._class_masks(self)
 
     def class_mask(self, c: str) -> int:
@@ -349,6 +393,16 @@ class ClassView:
             else:
                 mask &= self.value_masks[i][xv]
         return mask
+
+
+def _tile(pattern: int, period: int, total: int) -> int:
+    """``pattern`` (``period`` bits long) repeated over ``total`` bits, the
+    tiled length doubling each step."""
+    mask, length = pattern, period
+    while length < total:
+        mask |= mask << length
+        length *= 2
+    return mask & ((1 << total) - 1)
 
 
 def enumerable_count(theory: Theory) -> int:

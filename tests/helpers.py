@@ -41,14 +41,24 @@ def make_theory(
     )
 
 
-def table_to_csv(classifier: TableClassifier) -> str:
-    """The CSV form ``TableClassifier.from_csv`` reads, rows in rank order."""
+def table_to_csv(
+    classifier: TableClassifier,
+    columns: Optional[Sequence[str]] = None,
+    ranks: Optional[Sequence[int]] = None,
+) -> str:
+    """The CSV form ``TableClassifier.from_csv`` reads.
+
+    By default the columns come in theory order with 'class' last and the
+    rows in rank order; ``columns`` and ``ranks`` give other orders."""
+    theory = classifier.theory
+    columns = list(columns or [*theory.features, "class"])
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(classifier.theory.features) + ["class"])
-    for r, label in enumerate(classifier.table):
-        x = instance_of_rank(classifier.theory, r)
-        writer.writerow([v for _, v in x.literals()] + [label])
+    writer.writerow(columns)
+    for r in range(len(classifier.table)) if ranks is None else ranks:
+        cells = instance_of_rank(theory, r).to_dict()
+        cells["class"] = classifier.table[r]
+        writer.writerow([cells[c] for c in columns])
     return out.getvalue()
 
 

@@ -12,6 +12,7 @@ from cfexplain import (
     ClassView,
     FormulaClassifier,
     IncompleteTable,
+    InvalidLiteral,
     NotSurjective,
     PartialAssignment,
     Query,
@@ -33,6 +34,7 @@ from cfexplain import (
 
 from cfexplain import classifier as classifier_module
 from cfexplain import sat
+from cfexplain.audit import generated_probe_queries
 from cfexplain.classifier import ranks_in
 from helpers import make_theory, planted_cnf, table_queries, table_to_csv
 
@@ -76,6 +78,133 @@ def test_table_csv_requires_every_instance():
     t = make_theory([2, 2])
     with pytest.raises(IncompleteTable):
         TableClassifier.from_csv("f1,f2,class\n0,0,c0\n", t)
+
+
+GOOD_ROWS = ["0,0,c0", "0,1,c1", "1,0,c0", "1,1,c1"]
+
+
+def csv_text(*rows: str, header: str = "f1,f2,class") -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("", ClassifierError, "empty classifier CSV"),
+        (
+            csv_text("0,0,c0", header="f1,f3,class"),
+            ClassifierError,
+            "CSV columns ['class', 'f1', 'f3'] do not match features + 'class' "
+            "(['class', 'f1', 'f2'])",
+        ),
+        (
+            csv_text("0,0,c0", "0,2,c1", "1,0,c0", "1,1,c1"),
+            InvalidLiteral,
+            "value '2' is not in the domain of feature 'f2'",
+        ),
+        (
+            csv_text(" 0,0,c0", *GOOD_ROWS[1:]),
+            InvalidLiteral,
+            "value ' 0' is not in the domain of feature 'f1'",
+        ),
+        (
+            csv_text("0,0,c0", "0,0,c1", "1,0,c0", "1,1,c1"),
+            ClassifierError,
+            "instance f1=0, f2=0 listed twice",
+        ),
+        (
+            csv_text(*GOOD_ROWS[:3]),
+            IncompleteTable,
+            "table misses 1 instance(s), e.g. f1=1, f2=1",
+        ),
+        (
+            csv_text("0,0,c0", "0,1,zz", "1,0,c0", "1,1,c1"),
+            UnknownClass,
+            "class 'zz' is not in the theory",
+        ),
+    ],
+    ids=["empty", "columns", "value", "leading-space", "duplicate", "missing", "class"],
+)
+def test_table_csv_error_verdicts(text, error, message):
+    with pytest.raises(error) as exc:
+        TableClassifier.from_csv(text, make_theory([2, 2]))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_table_csv_skips_blank_lines():
+    text = "f1,f2,class\n\n0,0,c0\n0,1,c1\n\n1,0,c0\n1,1,c1\n\n"
+    clf = TableClassifier.from_csv(text, make_theory([2, 2]))
+    assert clf.table == ("c0", "c1", "c0", "c1")
+
+
+def test_table_csv_rejects_a_repeated_header_column():
+    text = "f1,f2,f2,class\n0,0,0,c0\n0,1,1,c1\n1,0,0,c0\n1,1,1,c1\n"
+    with pytest.raises(ClassifierError) as exc:
+        TableClassifier.from_csv(text, make_theory([2, 2]))
+    assert str(exc.value) == "CSV header repeats column(s) ['f2']"
+
+
+@pytest.mark.parametrize(
+    "row, line, fields",
+    [("0,1", 3, 2), ("0,1,c1,c0", 3, 4), ("   ", 3, 1)],
+    ids=["short", "long", "spaces"],
+)
+def test_table_csv_rejects_ragged_rows(row, line, fields):
+    text = csv_text("0,0,c0", row, *GOOD_ROWS[2:])
+    with pytest.raises(ClassifierError) as exc:
+        TableClassifier.from_csv(text, make_theory([2, 2]))
+    assert type(exc.value) is ClassifierError
+    assert str(exc.value) == f"CSV line {line} has {fields} field(s); the header has 3"
+
+
+def test_table_csv_ingest_builds_no_assignment_per_row(monkeypatch):
+    theory = make_theory([3] * 7, n_classes=3)
+    n = theory.instance_count()
+    text = table_to_csv(TableClassifier(theory, [f"c{r % 3}" for r in range(n)]))
+    built = []
+    post_init = PartialAssignment.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PartialAssignment, "__post_init__", counted)
+    clf = TableClassifier.from_csv(text, theory)
+    class_view(clf)
+    assert len(built) <= 5
+
+
+def test_equal_tables_hash_equal():
+    vac = load_bundle("vacation")
+    again = TableClassifier(vac.theory, list(vac.classifier.table))
+    assert again is not vac.classifier and again == vac.classifier
+    assert hash(again) == hash(vac.classifier)
+    assert {vac.classifier: 1}[again] == 1
+
+
+@st.composite
+def shuffled_tables(draw):
+    """A random table (up to 3^5 rows, 2 or 3 classes) and a CSV of it with
+    the rows shuffled and the columns permuted."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=5))
+    theory = make_theory(sizes, n_classes=draw(st.integers(2, 3)))
+    n = theory.instance_count()
+    labels = draw(st.lists(st.sampled_from(theory.classes), min_size=n, max_size=n))
+    columns = draw(st.permutations([*theory.features, "class"]))
+    ranks = draw(st.permutations(range(n)))
+    clf = TableClassifier(theory, labels)
+    return clf, table_to_csv(clf, columns, ranks)
+
+
+@given(shuffled_tables())
+@settings(max_examples=60, deadline=None)
+def test_table_csv_in_any_order_equals_from_rows(case):
+    clf, text = case
+    theory = clf.theory
+    parsed = TableClassifier.from_csv(text, theory)
+    rows = [(instance_of_rank(theory, r).to_dict(), c) for r, c in enumerate(clf.table)]
+    assert parsed == TableClassifier.from_rows(theory, rows) == clf
+    assert_view_matches_brute_force(parsed)
 
 
 def test_table_classify_requires_instance():
@@ -208,6 +337,30 @@ def test_class_view_masks_match_brute_force():
     want = {rank_of(y) for y in __import__("cfexplain").residual(x1, e)}
     assert {r for r in range(t.instance_count()) if (res >> r) & 1} == want
     assert view.full_mask == (1 << t.instance_count()) - 1
+
+
+def assert_view_matches_brute_force(clf):
+    """Every value and class mask of the view, rebuilt one rank at a time."""
+    theory = clf.theory
+    view = class_view(clf)
+    value_masks = [[0] * len(d) for d in theory.domains]
+    class_masks = dict.fromkeys(theory.classes, 0)
+    for r in range(theory.instance_count()):
+        x = instance_of_rank(theory, r)
+        for i, v in enumerate(x.values):
+            value_masks[i][v] |= 1 << r
+        class_masks[clf.classify(x)] |= 1 << r
+    assert view.value_masks == value_masks
+    assert view.class_masks == class_masks
+
+
+def test_view_of_every_two_feature_probe_table_matches_brute_force():
+    seen = set()
+    for q in generated_probe_queries():
+        if id(q.classifier) not in seen:
+            seen.add(id(q.classifier))
+            assert_view_matches_brute_force(q.classifier)
+    assert len(seen) == 648
 
 
 def test_ranks_in_lists_set_bits_in_ascending_order():

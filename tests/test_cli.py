@@ -513,6 +513,35 @@ def test_fixture_query_out_of_range_fails_cleanly(capsys, index):
     ]
 
 
+@pytest.mark.parametrize(
+    "csv_text, message",
+    [
+        (
+            "t,a,a,class\nhot,climbing,climbing,beach\n",
+            "CSV header repeats column(s) ['a']",
+        ),
+        (
+            "t,a,class\nhot,climbing,beach\nmild,climbing\n",
+            "CSV line 3 has 2 field(s); the header has 3",
+        ),
+    ],
+    ids=["repeated-header", "ragged-row"],
+)
+def test_malformed_table_csv_fails_cleanly(capsys, tmp_path, vacation_files, csv_text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(csv_text)
+    code, out, err = run_cli(
+        capsys,
+        "explain",
+        "--theory", vacation_files["theory.json"],
+        "--classifier", str(bad),
+        "--instance", vacation_files["x1.json"],
+        "--kind", "gnec",
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: ClassifierError: {message}"]
+
+
 def test_unknown_literal_fails_cleanly(capsys):
     code, out, err = run_cli(
         capsys,
