@@ -15,7 +15,8 @@ quickly without any third-party dependencies.
 
 Each classifier computes its surjectivity verdict and its view once, on
 first read.  Only enumeration and weighted distances read the view, so the
-SAT procedures run on formulas past the view's cap.
+SAT procedures run on formulas past the view's cap.  A formula classifier's
+CNF (``encoding``) is likewise built once, and every solver call starts from it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .formulas import Formula, evaluate, evaluate_bitwise, parse_formula
+from .formulas import Clause, Formula, evaluate, evaluate_bitwise, parse_formula, tseitin
 from .theory import (
     PartialAssignment,
     Theory,
@@ -106,15 +107,14 @@ class TableClassifier(Classifier):
 
     def __init__(self, theory: Theory, classes_by_rank: Sequence[str]):
         n = theory.instance_count()
-        table = tuple(classes_by_rank)
-        if len(table) != n:
+        if len(classes_by_rank) != n:
             raise IncompleteTable(
-                f"table has {len(table)} rows; theory has {n} instances"
+                f"table has {len(classes_by_rank)} rows; theory has {n} instances"
             )
-        known = set(theory.classes)
-        if not known.issuperset(table):
-            unknown = next(c for c in table if c not in known)
-            raise UnknownClass(f"class {unknown!r} is not in the theory")
+        try:  # the theory's own label objects: one per class, not per row
+            table = tuple(map({c: c for c in theory.classes}.__getitem__, classes_by_rank))
+        except KeyError as exc:
+            raise UnknownClass(f"class {exc.args[0]!r} is not in the theory") from None
         self.theory = theory
         self.table = table
         self._hash = hash((theory, table))
@@ -246,6 +246,11 @@ class TableClassifier(Classifier):
         }
 
 
+def feature_vars(theory: Theory) -> dict[str, int]:
+    """The CNF variable of each feature: feature i is variable i + 1."""
+    return {f: i + 1 for i, f in enumerate(theory.features)}
+
+
 class FormulaClassifier(Classifier):
     """Binary classifier defined by a propositional formula.
 
@@ -309,12 +314,28 @@ class FormulaClassifier(Classifier):
     def classify(self, x: PartialAssignment) -> str:
         return self.class_if_true if self.truth_of(x) else self.class_if_false
 
-    def _labels_produced(self) -> set[str]:
-        """Two calls to the built-in solver, one per class indicator."""
-        from .sat import class_indicator, sat_solve  # local import; sat builds on us
+    @cached_property
+    def encoding(self) -> tuple[tuple[Clause, ...], int, int]:
+        """The formula's Tseitin clauses, root literal and variable count,
+        built on first read; no unit clause asserts the root."""
+        clauses, root, n_vars = tseitin(self.formula, feature_vars(self.theory))
+        return tuple(clauses), root, n_vars
 
-        labels = (self.class_if_true, self.class_if_false)
-        return {c for c in labels if sat_solve(self.theory, class_indicator(self, c)) is not None}
+    def class_literal(self, c: str) -> int:
+        """The encoding's literal that holds exactly on the instances of class c."""
+        root = self.encoding[1]
+        if c == self.class_if_true:
+            return root
+        if c == self.class_if_false:
+            return -root
+        raise UnknownClass(f"class {c!r} is not one of the classifier's labels")
+
+    def _labels_produced(self) -> set[str]:
+        """Two calls to the built-in solver, one per class literal."""
+        from .sat import SatOracle, _class_model  # local import; sat builds on us
+
+        labels, literal = (self.class_if_true, self.class_if_false), self.class_literal
+        return {c for c in labels if _class_model(self, literal(c), SatOracle()) is not None}
 
     def _class_masks(self, view: ClassView) -> dict[str, int]:
         columns = {f: view.value_masks[i][1] for i, f in enumerate(self.theory.features)}
@@ -436,8 +457,8 @@ def class_view(classifier: Classifier) -> ClassView:
 def check_surjective(classifier: Classifier) -> SurjectivityVerdict:
     """Is every class produced by at least one instance?
 
-    Tables are scanned; formulas take two calls to the built-in solver (the
-    formula and its negation).  The verdict is computed once per classifier.
+    Tables are scanned; formulas take two calls to the built-in solver, one
+    per class literal.  The verdict is computed once per classifier.
     """
     return classifier.surjectivity
 
@@ -448,10 +469,10 @@ def core_literals(
     """Literals present in every instance of class c, as an assignment.
 
     ``method="scan"`` intersects the instances of class c directly;
-    ``method="sat"`` (formula classifiers only) asks a SAT oracle, literal by
-    literal, whether class-indicator(c) together with any other value of the
-    feature is unsatisfiable.  ``"auto"`` scans tables and uses the oracle for
-    formulas.
+    ``method="sat"`` (formula classifiers only) asks a SAT oracle for one
+    instance y of class c, then, feature by feature, whether class c together
+    with another value than y's is unsatisfiable.  ``"auto"`` scans tables
+    and uses the oracle for formulas.
     """
     theory = classifier.theory
     if c not in theory.classes:

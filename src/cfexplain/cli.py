@@ -131,6 +131,14 @@ def _oracle(args) -> SatOracle:
     )
 
 
+def _theory_and_classifier(args):
+    """The theory and classifier read from --theory and --classifier."""
+    theory = load_theory_text(_read(args.theory))
+    return theory, load_classifier_text(
+        _read(args.classifier), theory, filename=args.classifier
+    )
+
+
 def _ingest(args) -> Query:
     """Build a Query from --fixture/--query or --theory/--classifier/--instance."""
     if args.fixture:
@@ -149,10 +157,7 @@ def _ingest(args) -> Query:
         raise ValueError(
             "missing " + ", ".join(missing) + " (or use --fixture NAME)"
         )
-    theory = load_theory_text(_read(args.theory))
-    classifier = load_classifier_text(
-        _read(args.classifier), theory, filename=args.classifier
-    )
+    theory, classifier = _theory_and_classifier(args)
     instance = load_instance_text(_read(args.instance), theory)
     return Query(theory, classifier, instance)
 
@@ -202,19 +207,13 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _sat_applicable(query: Query) -> bool:
-    return isinstance(query.classifier, FormulaClassifier) and all(
-        len(d) == 2 for d in query.theory.domains
-    )
-
-
 def cmd_decide(args) -> int:
     query = _ingest(args)
     kind = _kind(args.kind)
     e = _parse_assignment(args.explanation, query.theory)
     distance = _distance(args, query.theory)
     payload = {"kind": kind, "explanation": e.to_dict()}
-    if _sat_applicable(query):
+    if isinstance(query.classifier, FormulaClassifier):
         oracle = _oracle(args)
         member = decide_exp(
             kind, query, e, oracle=oracle, distance=distance, tau=args.tau
@@ -238,13 +237,13 @@ def cmd_find(args) -> int:
     kind = _kind(args.kind)
     distance = _distance(args, query.theory)
     payload: dict = {"kind": kind}
-    if _sat_applicable(query):
+    if isinstance(query.classifier, FormulaClassifier):
         oracle = _oracle(args)
         found = find_exp(kind, query, oracle=oracle, distance=distance, tau=args.tau)
         if args.count_oracle_calls:
             payload["oracle_calls"] = oracle.calls
     else:
-        # enumeration fallback for table classifiers / non-boolean domains
+        # enumeration fallback for table classifiers
         listed = _list_explanations(kind, query, args, cap=1)
         found = listed.explanations[0] if listed.count else None
     payload["found"] = found is not None
@@ -258,15 +257,11 @@ def cmd_find(args) -> int:
 
 def cmd_core(args) -> int:
     if args.fixture:
-        bundle = load_bundle(args.fixture)
-        theory, classifier = bundle.theory, bundle.classifier
+        classifier = load_bundle(args.fixture).classifier
     else:
         if not args.theory or not args.classifier:
             raise ValueError("missing --theory/--classifier (or use --fixture NAME)")
-        theory = load_theory_text(_read(args.theory))
-        classifier = load_classifier_text(
-            _read(args.classifier), theory, filename=args.classifier
-        )
+        _, classifier = _theory_and_classifier(args)
     core = core_literals(classifier, args.class_name, method=args.method)
     if args.format == "text":
         sys.stdout.write(core.render() + "\n")
@@ -279,10 +274,7 @@ def _audit_suite(args) -> Suite:
     if args.builtin:
         return builtin_suite(budget=args.budget, seed=args.seed)
     if args.theory and args.classifier and args.instance:
-        theory = load_theory_text(_read(args.theory))
-        classifier = load_classifier_text(
-            _read(args.classifier), theory, filename=args.classifier
-        )
+        theory, classifier = _theory_and_classifier(args)
         queries = tuple(
             Query(theory, classifier, load_instance_text(_read(path), theory))
             for path in args.instance

@@ -37,7 +37,7 @@ class ParseError(ValueError):
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Formula:
     def atoms(self) -> frozenset[str]:
         raise NotImplementedError
@@ -46,7 +46,7 @@ class Formula:
         return _render(self, parent_level=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Formula):
     name: str
 
@@ -54,7 +54,7 @@ class Var(Formula):
         return frozenset((self.name,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     child: Formula
 
@@ -62,7 +62,7 @@ class Not(Formula):
         return self.child.atoms()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Binary(Formula):
     left: Formula
     right: Formula
@@ -71,22 +71,22 @@ class _Binary(Formula):
         return self.left.atoms() | self.right.atoms()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(_Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff(_Binary):
     pass
 

@@ -9,7 +9,11 @@ search reduce to a handful of satisfiability calls instead of enumeration:
   evaluation);
 * find — produce one explanation or report none, within tight call budgets:
   0 calls for sSuf (test the all-flipped instance), 1 for cSuf/gSuf/sNec
-  (one opposite-class model), at most n for gNec (scan x's literals).
+  (one opposite-class model), at most n for gNec (scan x's literals);
+* core — a class's core as a backbone, in at most n + 1 calls.
+
+Every call is the classifier's cached CNF (``FormulaClassifier.encoding``),
+the class's literal as a unit, then the call's own units or counter.
 
 The oracle itself is pluggable: a deterministic built-in DPLL (fixed
 branching: ascending variable index, true first, chronological
@@ -36,6 +40,7 @@ from .classifier import (
     FormulaClassifier,
     Query,
     UnknownClass,
+    feature_vars,
     ranks_in,
 )
 from .derived import DERIVED_KINDS, DistanceMeasure, hamming, nothing_closer
@@ -62,11 +67,11 @@ def _require_boolean(theory: Theory) -> None:
         raise NotBoolean("this procedure needs all-boolean feature domains")
 
 
-def _require_formula_query(query: Query) -> FormulaClassifier:
-    _require_boolean(query.theory)
-    if not isinstance(query.classifier, FormulaClassifier):
+def _require_formula(classifier: Classifier) -> FormulaClassifier:
+    """Formula classifiers exist only over all-boolean theories."""
+    if not isinstance(classifier, FormulaClassifier):
         raise NotBoolean("this procedure needs a formula classifier")
-    return query.classifier
+    return classifier
 
 
 # -- backends --------------------------------------------------------------------
@@ -270,9 +275,6 @@ class SatOracle:
 # -- encodings -------------------------------------------------------------------
 
 
-def feature_vars(theory: Theory) -> dict[str, int]:
-    return {f: i + 1 for i, f in enumerate(theory.features)}
-
 def encode_formula(theory: Theory, formula: Formula) -> tuple[list[Clause], int]:
     """CNF clauses asserting the formula, over variables 1..n then auxiliaries."""
     _require_boolean(theory)
@@ -344,6 +346,38 @@ def sat_solve(
     return None if model is None else _model_instance(theory, model)
 
 
+# -- calls on a classifier's encoding ----------------------------------------------
+
+
+def _class_model(
+    classifier: FormulaClassifier, literal: int, oracle: SatOracle, extra=(), n_vars=0
+) -> Optional[PartialAssignment]:
+    """An instance where the class literal and the extra clauses hold, or None.
+    The oracle gets a fresh list: the cached encoding, the literal as a unit,
+    then the extra clauses, over at least `n_vars` variables."""
+    clauses, _, base_vars = classifier.encoding
+    model = oracle.solve([*clauses, (literal,), *extra], max(base_vars, n_vars))
+    return None if model is None else _model_instance(classifier.theory, model)
+
+
+def _class_instance(
+    classifier: FormulaClassifier, literal: int, oracle: SatOracle
+) -> PartialAssignment:
+    y = _class_model(classifier, literal, oracle)
+    if y is None:  # unreachable: formula classifiers are surjective
+        raise BackendFailure("no instance found of a class the classifier produces")
+    return y
+
+
+def _opposite_within(query: Query, k: int, oracle: SatOracle) -> Optional[PartialAssignment]:
+    """An instance of the other class within Hamming distance k of x, or None."""
+    classifier = query.classifier
+    _, _, n_vars = classifier.encoding
+    counter, next_free = at_most_k(_difference_literals(query.instance), k, n_vars + 1)
+    other = -classifier.class_literal(query.label)
+    return _class_model(classifier, other, oracle, counter, next_free - 1)
+
+
 # -- boolean helpers -------------------------------------------------------------
 
 
@@ -369,11 +403,11 @@ def _unit_for(position: int, value: int) -> Clause:
 
 
 def _in_core(
-    theory: Theory, indicator: Formula, i: int, v: int, oracle: SatOracle
+    classifier: FormulaClassifier, literal: int, i: int, v: int, oracle: SatOracle
 ) -> bool:
-    """In-core by one oracle call: no model of indicator gives feature i
-    another value than v."""
-    return sat_solve(theory, indicator, oracle, [_unit_for(i, 1 - v)]) is None
+    """In-core by one oracle call: no instance where the class literal holds
+    gives feature i another value than v."""
+    return _class_model(classifier, literal, oracle, [_unit_for(i, 1 - v)]) is None
 
 
 def _difference_literals(x: PartialAssignment) -> list[int]:
@@ -383,28 +417,7 @@ def _difference_literals(x: PartialAssignment) -> list[int]:
     ]
 
 
-def _opposite_label(classifier: FormulaClassifier, label: str) -> str:
-    return (
-        classifier.class_if_false
-        if label == classifier.class_if_true
-        else classifier.class_if_true
-    )
-
-
 # -- decide ----------------------------------------------------------------------
-
-
-def _min_flip_size_below(
-    query: Query, classifier: FormulaClassifier, bound: int, oracle: SatOracle
-) -> bool:
-    """Is there an opposite-class instance within Hamming distance `bound` of x?"""
-    if bound <= 0:
-        return False
-    x = query.instance
-    indicator = class_indicator(classifier, _opposite_label(classifier, query.label))
-    clauses, n_vars = encode_formula(query.theory, indicator)
-    extra, next_free = at_most_k(_difference_literals(x), bound, n_vars + 1)
-    return oracle.solve(list(clauses) + extra, next_free - 1) is not None
 
 
 def _flip_changes_class(query: Query, positions) -> bool:
@@ -433,10 +446,10 @@ def decide_exp(
     Matches the enumeration oracle exactly; boolean theories with formula
     classifiers only (others raise NotBoolean).
     """
-    classifier = _require_formula_query(query)
+    classifier = _require_formula(query.classifier)
     oracle = oracle if oracle is not None else SatOracle()
     x = query.instance
-    label = query.label
+    own = classifier.class_literal(query.label)
 
     if kind == "cSuf":
         return is_member("cSuf", query, e)
@@ -451,20 +464,15 @@ def decide_exp(
         # every literal of E must appear in all instances of x's class
         if e.is_empty:
             return False
-        indicator = class_indicator(classifier, label)
-        return all(
-            _in_core(query.theory, indicator, i, v, oracle)
-            for i, v in e.indexed_literals()
-        )
+        return all(_in_core(classifier, own, i, v, oracle) for i, v in e.indexed_literals())
 
     if kind in ("gSuf", "sSuf"):
         if kind == "sSuf" and not e.disjoint_from(x):
             return False
         if e.is_empty:
             return False  # x itself extends the empty assignment
-        indicator = class_indicator(classifier, label)
         units = [_unit_for(i, v) for i, v in e.indexed_literals()]
-        return sat_solve(query.theory, indicator, oracle, units) is None
+        return _class_model(classifier, own, oracle, units) is None
 
     if kind not in DERIVED_KINDS:
         raise ValueError(f"unknown explainer kind {kind!r}")
@@ -481,7 +489,8 @@ def decide_exp(
         )
 
     if kind == "cardMin" or (kind == "distMin" and distance in (None, hamming)):
-        return not _min_flip_size_below(query, classifier, e.size - 1, oracle)
+        k = e.size - 1  # no opposite-class instance is closer than e's flip
+        return k <= 0 or _opposite_within(query, k, oracle) is None
 
     if kind == "distMin":
         return nothing_closer(query, e, distance)
@@ -491,17 +500,6 @@ def decide_exp(
 
 
 # -- find ------------------------------------------------------------------------
-
-
-def _opposite_model(
-    query: Query, classifier: FormulaClassifier, oracle: SatOracle
-) -> PartialAssignment:
-    indicator = class_indicator(classifier, _opposite_label(classifier, query.label))
-    y = sat_solve(query.theory, indicator, oracle)
-    if y is None:
-        # unreachable for surjective classifiers; fail loudly if it happens
-        raise BackendFailure("no opposite-class instance found for a surjective classifier")
-    return y
 
 
 def find_exp(
@@ -516,10 +514,12 @@ def find_exp(
     Call budgets (asserted by tests): sSuf 0, cSuf/gSuf/sNec at most 1,
     gNec at most n, featMin 1 plus evaluation-only shrinking.
     """
-    classifier = _require_formula_query(query)
+    classifier = _require_formula(query.classifier)
     oracle = oracle if oracle is not None else SatOracle()
     x = query.instance
     label = query.label
+    own = classifier.class_literal(label)
+    n = query.theory.n_features
 
     if kind == "sSuf":
         # if any sceptical sufficient reason exists, the full complement is one
@@ -529,28 +529,25 @@ def find_exp(
         return None
 
     if kind == "cSuf":
-        y = _opposite_model(query, classifier, oracle)
-        return y.difference(x)
+        return _class_instance(classifier, -own, oracle).difference(x)
 
     if kind == "gSuf":
-        return _opposite_model(query, classifier, oracle)
+        return _class_instance(classifier, -own, oracle)
 
     if kind == "sNec":
-        y = _opposite_model(query, classifier, oracle)
-        return x.difference(y)
+        return x.difference(_class_instance(classifier, -own, oracle))
 
     if kind == "gNec":
         # scan x's literals for a core literal of x's class
-        indicator = class_indicator(classifier, label)
         for i, v in x.indexed_literals():
-            if _in_core(query.theory, indicator, i, v, oracle):
-                values: list[Optional[int]] = [None] * query.theory.n_features
+            if _in_core(classifier, own, i, v, oracle):
+                values: list[Optional[int]] = [None] * n
                 values[i] = v
                 return PartialAssignment(query.theory, tuple(values))
         return None
 
     if kind == "featMin":
-        y = _opposite_model(query, classifier, oracle)
+        y = _class_instance(classifier, -own, oracle)
         positions = list(y.difference(x).feature_positions())
         # greedy one-feature shrinking, evaluation only
         for i in list(positions):
@@ -564,18 +561,15 @@ def find_exp(
                 return flip_within(x, subset).difference(x)
         raise AssertionError("greedy shrink lost the flip")  # pragma: no cover
 
-    if kind == "cardMin":
-        return _smallest_flip(query, classifier, oracle)
+    if kind == "cardMin" or (kind == "distMin" and distance in (None, hamming)):
+        return _smallest_flip(query, n, oracle)
 
     if kind == "distMin":
-        if distance is None or distance is hamming:
-            return _smallest_flip(query, classifier, oracle)
         return _closest_flip(query, distance, math.inf)
 
     if kind == "distCap":
         d = distance if distance is not None else hamming
         if d is hamming:
-            n = query.theory.n_features
             if math.isinf(tau):
                 bound = n
             elif float(tau).is_integer():
@@ -584,31 +578,18 @@ def find_exp(
                 bound = math.floor(tau)
             if bound <= 0:
                 return None
-            return _smallest_flip(query, classifier, oracle, max_size=min(bound, n))
+            return _smallest_flip(query, min(bound, n), oracle)
         return _closest_flip(query, d, tau)
 
     raise ValueError(f"unknown explainer kind {kind!r}")
 
 
-def _smallest_flip(
-    query: Query,
-    classifier: FormulaClassifier,
-    oracle: SatOracle,
-    max_size: Optional[int] = None,
-) -> Optional[PartialAssignment]:
-    """Iterative deepening on flip size; one oracle call per size tried."""
-    x = query.instance
-    n = query.theory.n_features
-    top = n if max_size is None else max_size
-    indicator = class_indicator(classifier, _opposite_label(classifier, query.label))
-    base_clauses, n_vars = encode_formula(query.theory, indicator)
-    diffs = _difference_literals(x)
+def _smallest_flip(query: Query, top: int, oracle: SatOracle) -> Optional[PartialAssignment]:
+    """Iterative deepening on flip size up to `top`; one oracle call per size tried."""
     for k in range(1, top + 1):
-        extra, next_free = at_most_k(diffs, k, n_vars + 1)
-        model = oracle.solve(list(base_clauses) + extra, next_free - 1)
-        if model is not None:
-            y = _model_instance(query.theory, model)
-            return y.difference(x)
+        y = _opposite_within(query, k, oracle)
+        if y is not None:
+            return y.difference(query.instance)
     return None
 
 
@@ -634,14 +615,15 @@ def _closest_flip(
 def core_literals_sat(
     classifier: FormulaClassifier, c: str, oracle: Optional[SatOracle] = None
 ) -> PartialAssignment:
-    """Core of a class via per-literal UNSAT checks (boolean formulas only)."""
-    _require_boolean(classifier.theory)
+    """Core of a class as a backbone (boolean formulas only): one instance y
+    of class c, then one UNSAT check per feature, at y's value since no
+    other value can be in the core; at most n + 1 oracle calls."""
+    _require_formula(classifier)
     oracle = oracle if oracle is not None else SatOracle()
-    indicator = class_indicator(classifier, c)
-    theory = classifier.theory
-    values: list[Optional[int]] = [None] * theory.n_features
-    for i in range(theory.n_features):
-        values[i] = next(
-            (v for v in (1, 0) if _in_core(theory, indicator, i, v, oracle)), None
-        )
-    return PartialAssignment(theory, tuple(values))
+    literal = classifier.class_literal(c)
+    y = _class_instance(classifier, literal, oracle)
+    core = [
+        v if _in_core(classifier, literal, i, v, oracle) else None
+        for i, v in enumerate(y.values)
+    ]
+    return PartialAssignment(classifier.theory, tuple(core))

@@ -74,6 +74,11 @@ def test_table_csv_round_trip():
     assert again.to_json_dict() == vac.classifier.to_json_dict()
 
 
+def test_table_holds_one_label_object_per_class():
+    vac = load_bundle("vacation")  # read through from_csv
+    assert {id(c) for c in vac.classifier.table} == {id(c) for c in vac.theory.classes}
+
+
 def test_table_csv_requires_every_instance():
     t = make_theory([2, 2])
     with pytest.raises(IncompleteTable):

@@ -13,7 +13,9 @@ from cfexplain import (
     NotBoolean,
     PartialAssignment,
     SatOracle,
+    UnknownClass,
     at_most_k,
+    class_indicator,
     complement_instance,
     core_literals,
     core_literals_sat,
@@ -30,7 +32,10 @@ from cfexplain import (
     substitute,
     weighted_distance,
 )
-from cfexplain.formulas import evaluate, parse_formula
+from cfexplain import classifier as classifier_module
+from cfexplain import formulas as formulas_module
+from cfexplain import sat as sat_module
+from cfexplain.formulas import evaluate, parse_formula, tseitin
 
 from conftest import tool
 from helpers import (
@@ -399,6 +404,86 @@ def test_core_literals_sat_matches_scan():
 
 def test_core_literals_sat_budget():
     m = load_bundle("majority")
-    oracle = SatOracle()
-    core_literals_sat(m.classifier, "yes", oracle=oracle)
-    assert oracle.calls <= 2 * m.theory.n_features
+    for c in m.theory.classes:
+        oracle = SatOracle()
+        core_literals_sat(m.classifier, c, oracle=oracle)
+        assert oracle.calls <= m.theory.n_features + 1
+
+
+# -- one encoding per classifier ----------------------------------------------------------
+
+
+def every_sat_call(q, rng, oracle=None):
+    """Every find kind, decide on a spread of candidates, and both cores."""
+    for kind in SAT_DECIDE_KINDS:
+        find_exp(kind, q, oracle=oracle)
+        for e in sample_candidates(rng, q):
+            decide_exp(kind, q, e, oracle=oracle)
+    for c in q.theory.classes:
+        core_literals_sat(q.classifier, c, oracle=oracle)
+
+
+def test_class_literal_is_the_encoding_root_or_its_negation():
+    rng = random.Random(37)
+    for q in [load_bundle("majority").query(1)] + [
+        random_boolean_query(rng, rng.randint(1, 4)) for _ in range(20)
+    ]:
+        clf = q.classifier
+        clauses, root, n_vars = clf.encoding
+        assert clf.class_literal(clf.class_if_true) == root
+        assert clf.class_literal(clf.class_if_false) == -root
+        for c in q.theory.classes:  # Not(f) encodes to f's clauses, root negated
+            assert encode_formula(q.theory, class_indicator(clf, c)) == (
+                [*clauses, (clf.class_literal(c),)], n_vars
+            )
+        with pytest.raises(UnknownClass):
+            clf.class_literal("zzz")
+
+
+def test_a_formula_classifier_is_encoded_once(monkeypatch):
+    walks = []
+
+    def counted(f, var_of_atom):
+        walks.append(f)
+        return tseitin(f, var_of_atom)
+
+    for module in (formulas_module, classifier_module, sat_module):
+        if hasattr(module, "tseitin"):
+            monkeypatch.setattr(module, "tseitin", counted)
+    rng = random.Random(41)
+    for build in [lambda: load_bundle("majority").query(1)] + [
+        lambda: random_boolean_query(rng, rng.randint(2, 4))
+    ] * 5:
+        walks.clear()
+        q = build()  # random_boolean_query also walks the constant formulas it rejects
+        assert walks.count(q.classifier.formula) == 1
+        built = len(walks)
+        every_sat_call(q, rng, SatOracle())
+        assert len(walks) == built, q.classifier.formula
+
+
+class RecordingBackend:
+    """The built-in solver, keeping every clause list it receives."""
+
+    def __init__(self):
+        self.received = []
+
+    def solve(self, clauses, n_vars):
+        self.received.append(list(clauses))
+        return dpll(clauses, n_vars)
+
+
+def test_every_solver_call_starts_with_a_class_encoding():
+    rng = random.Random(43)
+    for q in [load_bundle("majority").query(1)] + [
+        random_boolean_query(rng, rng.randint(2, 4)) for _ in range(10)
+    ]:
+        backend = RecordingBackend()
+        every_sat_call(q, rng, SatOracle(backend))
+        heads = [
+            encode_formula(q.theory, class_indicator(q.classifier, c))[0]
+            for c in q.theory.classes
+        ]
+        assert backend.received
+        for clauses in backend.received:
+            assert any(clauses[: len(head)] == head for head in heads)
