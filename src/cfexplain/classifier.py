@@ -415,6 +415,18 @@ class ClassView:
                 mask &= self.value_masks[i][xv]
         return mask
 
+    def distance_layers(self, x: PartialAssignment) -> list[int]:
+        """Instances by Hamming distance from the instance x: layer k holds
+        those differing from x on exactly k features, for k = 0..n."""
+        layers = [self.full_mask]
+        for i, xv in enumerate(x.values):
+            agree = self.value_masks[i][xv]
+            layers.append(0)
+            for k in range(len(layers) - 1, 0, -1):  # reads layer k - 1 before it moves
+                layers[k] = (layers[k] & agree) | (layers[k - 1] & ~agree)
+            layers[0] &= agree
+        return layers
+
 
 def _tile(pattern: int, period: int, total: int) -> int:
     """``pattern`` (``period`` bits long) repeated over ``total`` bits, the
@@ -518,6 +530,16 @@ class Query:
         verdict = self.classifier.surjectivity
         if not verdict.ok:
             raise NotSurjective(f"class(es) {list(verdict.missing)} are never produced")
+        # set here, so that every query's attribute dict keeps one key order
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        """The dataclass hash of the fields, computed on the first lookup:
+        a formula's hash recurses through it, and some formulas that load
+        are too deep for that."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.theory, self.classifier, self.instance)))
+        return self._hash
 
     @cached_property
     def label(self) -> str:

@@ -16,6 +16,12 @@ away before comparison: such literals are inert under overwriting, so each
 family is computed over genuinely novel assignments and its outputs are
 always credulous sufficient reasons.
 
+A flip changes every feature it names, so its hamming distance is its size.
+cardMin and hamming distMin are therefore decided and listed from the
+truth table's Hamming-distance layers around x (``ClassView.distance_layers``):
+the nearest layer holding an other-class instance gives the minimum size and
+the members.  featMin, distCap and weighted distMin select from the flips.
+
 Each family is also the set of maximal elements of a "faithful" ranking — a
 preorder that strictly prefers every flip to every non-flip.  The weightings
 and `faithful_max` below make that characterization executable, and
@@ -118,17 +124,42 @@ def feat_min(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     return collect("featMin", chosen, cap)
 
 
+def _nearest_other(query: Query) -> tuple[int, int]:
+    """The fewest features d on which an other-class instance differs from
+    x, and the mask of the other-class instances at that distance.  The
+    classifier is surjective, so some layer past x's own holds one."""
+    view, cmask = class_context(query)
+    other = view.full_mask & ~cmask
+    return next(
+        (d, layer & other)
+        for d, layer in enumerate(view.distance_layers(query.instance))
+        if layer & other
+    )
+
+
+def _nearest_flips(query: Query, kind: str, cap: Optional[int]) -> ExplanationSet:
+    """The flips of minimum size: for each nearest other-class instance y,
+    the part of y that x does not share."""
+    x = query.instance
+    flips = [
+        instance_of_rank(query.theory, r).difference(x)
+        for r in ranks_in(_nearest_other(query)[1])
+    ]
+    return collect(kind, sorted(flips, key=PartialAssignment.sort_key), cap)
+
+
 def card_min(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     """Flips of minimum cardinality."""
-    flips = _flips(query)
-    best = min(e.size for e in flips)
-    return collect("cardMin", [e for e in flips if e.size == best], cap)
+    return _nearest_flips(query, "cardMin", cap)
 
 
 def dist_min(
     query: Query, distance: DistanceMeasure = hamming, cap: Optional[int] = None
 ) -> ExplanationSet:
-    """Flips whose counterfactual sits closest to x; ties all returned."""
+    """Flips whose counterfactual sits closest to x; ties all returned.
+    Under hamming a flip's distance is its size, so these are cardMin's."""
+    if distance is hamming:
+        return _nearest_flips(query, "distMin", cap)
     x = query.instance
     flips = _flips(query)
     scored = [(distance(substitute(x, e), x), e) for e in flips]
@@ -155,7 +186,8 @@ def nothing_closer(
 ) -> bool:
     """No other-class instance lies strictly closer to x than x overwritten
     by e.  Every flip's counterfactual is such an instance, so for a flip e
-    this is distance-minimality, and under hamming cardinality-minimality."""
+    this is distance-minimality.  It measures every other-class instance, so
+    it serves generic distances; hamming is read off the distance layers."""
     view, cmask = class_context(query)
     x = query.instance
     mine = distance(substitute(x, e), x)
@@ -190,8 +222,10 @@ def is_derived_member(
             strong_offenders(view, other, x.intersection(y))
             & ~sceptical_offenders(view, other, x, x.difference(y))
         )
-    if kind in ("cardMin", "distMin"):
-        return nothing_closer(query, e, hamming if kind == "cardMin" else distance)
+    if kind == "cardMin" or (kind == "distMin" and distance is hamming):
+        return e.size == _nearest_other(query)[0]  # a flip's hamming distance is its size
+    if kind == "distMin":
+        return nothing_closer(query, e, distance)
     return distance(substitute(x, e), x) < tau
 
 

@@ -3,8 +3,8 @@
 A theory fixes an ordered list of features, a finite domain (size >= 2) per
 feature, and a set of class labels (size >= 2).  Partial assignments pick at
 most one value per feature; an instance picks exactly one per feature.  The
-module provides the substitution / residual / disjointness operations that
-every explainer is defined in terms of.
+module provides the substitution / disjointness operations that every
+explainer is defined in terms of.
 
 Everything here is immutable and pure; enumeration functions are generators
 with a fixed deterministic order so that all downstream output is byte-stable:
@@ -318,30 +318,6 @@ def substitute(x: PartialAssignment, e: PartialAssignment) -> PartialAssignment:
         tuple(e.values[i] if e.values[i] is not None else x.values[i]
               for i in range(x.theory.n_features)),
     )
-
-
-def residual(x: PartialAssignment, e: PartialAssignment) -> list[PartialAssignment]:
-    """All instances whose literal-set difference from x is exactly e.
-
-    Empty unless e is part of x; otherwise the instances agreeing with x off
-    e's features and taking any *other* value on each of e's features, so the
-    count is prod over e's features of (|domain| - 1).
-    """
-    as_instance(x)
-    _same_theory(x, e)
-    if not e.subset_of(x):
-        return []
-    n = x.theory.n_features
-    options = [
-        [v for v in range(len(x.theory.domains[i])) if v != x.values[i]]
-        if e.values[i] is not None
-        else [x.values[i]]
-        for i in range(n)
-    ]
-    return [
-        PartialAssignment(x.theory, combo)
-        for combo in itertools.product(*options)
-    ]
 
 
 def disjoint_assignments(

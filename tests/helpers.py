@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import itertools
+import math
 import random
+import re
+from pathlib import Path
 from typing import Optional, Sequence
 
 from hypothesis import strategies as st
@@ -17,6 +21,7 @@ from cfexplain import (
     Query,
     TableClassifier,
     Theory,
+    as_instance,
     enumerate_instances,
     instance_of_rank,
     validate_theory,
@@ -89,6 +94,21 @@ def table_queries(draw, max_features: int = 3, max_domain: int = 3):
     classifier = table_from_pattern(theory, pattern)
     rank = draw(st.integers(0, count - 1))
     return Query(theory, classifier, instance_of_rank(theory, rank))
+
+
+@st.composite
+def multiclass_table_queries(draw, max_features: int = 5, max_domain: int = 3):
+    """A query over a random surjective table with two or three classes."""
+    sizes = draw(st.lists(st.integers(2, max_domain), min_size=1, max_size=max_features))
+    count = math.prod(sizes)
+    n_classes = draw(st.integers(2, min(3, count)))
+    theory = make_theory(sizes, n_classes)
+    labels = draw(st.lists(st.sampled_from(theory.classes), min_size=count, max_size=count))
+    ranks = draw(st.sets(st.integers(0, count - 1), min_size=n_classes, max_size=n_classes))
+    for c, r in zip(theory.classes, sorted(ranks)):  # every class gets an instance
+        labels[r] = c
+    rank = draw(st.integers(0, count - 1))
+    return Query(theory, TableClassifier(theory, labels), instance_of_rank(theory, rank))
 
 
 # -- random boolean formula queries (seeded, for differential suites) -------------
@@ -258,6 +278,47 @@ def reference_dpll(clauses, n_vars: int) -> Optional[tuple[bool, ...]]:
     if search():
         return tuple(bool(assign[v]) for v in range(1, n_vars + 1))
     return None
+
+
+def residual(x: PartialAssignment, e: PartialAssignment) -> list[PartialAssignment]:
+    """All instances whose literal-set difference from x is exactly e.
+
+    Empty unless e is part of x; otherwise the instances agreeing with x off
+    e's features and taking any *other* value on each of e's features, so the
+    count is prod over e's features of (|domain| - 1).
+    """
+    as_instance(x)
+    if not e.subset_of(x):  # raises on a theory mismatch
+        return []
+    options = [
+        [v for v in range(len(domain)) if v != xv] if ev is not None else [xv]
+        for domain, xv, ev in zip(x.theory.domains, x.values, e.values)
+    ]
+    return [PartialAssignment(x.theory, combo) for combo in itertools.product(*options)]
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+
+
+def load_reference():
+    """bench/reference.py by file path; it must stay free of cfexplain."""
+    source = REFERENCE.read_text()
+    assert not re.search(r"^\s*(import|from)\s+cfexplain", source, re.MULTILINE)
+    spec = importlib.util.spec_from_file_location("cfexplain_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_oracle(ref, q: Query):
+    """The reference checker's oracle for q, on q's truth table."""
+    theory = q.theory
+    labels = [
+        q.classifier.classify(instance_of_rank(theory, r))
+        for r in range(theory.instance_count())
+    ]
+    table = ref.Table.from_labels([len(d) for d in theory.domains], labels)
+    return ref.Oracle(table, q.instance.values)
 
 
 def exhaustive_members(kind: str, query: Query):

@@ -1,10 +1,7 @@
 """Axiom checks, expected profiles, impossibility and compatibility witnesses."""
 
-import importlib.util
-import re
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -29,7 +26,6 @@ from cfexplain import (
     constant_empty,
     g_nec,
     impossibility_witness,
-    instance_of_rank,
     load_bundle,
     old_values,
     profile_inconsistencies,
@@ -37,6 +33,7 @@ from cfexplain import (
 )
 
 from conftest import tool
+from helpers import load_reference, reference_oracle
 
 
 AUDITED = (
@@ -271,29 +268,6 @@ def test_impossibility_witness_unknown_id():
 
 # -- the audit against the reference checker ----------------------------------------------
 
-REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
-
-
-def _load_reference():
-    """bench/reference.py by file path; it must stay free of cfexplain."""
-    source = REFERENCE.read_text()
-    assert not re.search(r"^\s*(import|from)\s+cfexplain", source, re.MULTILINE)
-    spec = importlib.util.spec_from_file_location("cfexplain_reference", REFERENCE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _reference_oracle(ref, q):
-    theory = q.theory
-    labels = [
-        q.classifier.classify(instance_of_rank(theory, r))
-        for r in range(theory.instance_count())
-    ]
-    table = ref.Table.from_labels([len(d) for d in theory.domains], labels)
-    return ref.Oracle(table, q.instance.values)
-
-
 def _reference_finds_violation(ref, axiom, queries, oracles, outputs):
     """Brute force: any explanation, other query or witness instance that
     the reference checker counts as a violation of the axiom."""
@@ -325,9 +299,9 @@ def test_audit_verdicts_agree_with_the_reference_checker():
     each counterexample violates its axiom by the reference's definitions,
     and where the audit finds none, a brute force over the reference's
     outputs and every instance as witness finds none either."""
-    ref = _load_reference()
+    ref = load_reference()
     queries = builtin_suite(budget=150, seed=20261018).queries
-    oracles = {q: _reference_oracle(ref, q) for q in queries}
+    oracles = {q: reference_oracle(ref, q) for q in queries}
 
     def values(a):
         return None if a is None else a.values

@@ -36,7 +36,15 @@ from cfexplain import classifier as classifier_module
 from cfexplain import sat
 from cfexplain.audit import generated_probe_queries
 from cfexplain.classifier import ranks_in
-from helpers import make_theory, planted_cnf, table_queries, table_to_csv
+from cfexplain.formulas import And, Or, Var
+from helpers import (
+    make_theory,
+    multiclass_table_queries,
+    planted_cnf,
+    residual,
+    table_queries,
+    table_to_csv,
+)
 
 
 # -- table classifiers -------------------------------------------------------------
@@ -339,7 +347,7 @@ def test_class_view_masks_match_brute_force():
     for x in enumerate_instances(t):
         assert bool((containing >> rank_of(x)) & 1) == e.subset_of(x)
     res = view.mask_residual(x1, e)
-    want = {rank_of(y) for y in __import__("cfexplain").residual(x1, e)}
+    want = {rank_of(y) for y in residual(x1, e)}
     assert {r for r in range(t.instance_count()) if (res >> r) & 1} == want
     assert view.full_mask == (1 << t.instance_count()) - 1
 
@@ -384,6 +392,27 @@ def test_class_masks_partition(query):
         assert union & mask == 0
         union |= mask
     assert union == view.full_mask
+
+
+@given(multiclass_table_queries())
+@settings(max_examples=40, deadline=None)
+def test_distance_layers_sort_the_instances_by_hamming_distance(query):
+    view = class_view(query.classifier)
+    x = query.instance
+    layers = view.distance_layers(x)
+    assert len(layers) == query.theory.n_features + 1
+    union = 0
+    for layer in layers:
+        assert union & layer == 0
+        union |= layer
+    assert union == view.full_mask
+    for k, layer in enumerate(layers):
+        want = [
+            r
+            for r in range(view.n_rows)
+            if sum(a != b for a, b in zip(instance_of_rank(query.theory, r).values, x.values)) == k
+        ]
+        assert list(ranks_in(layer)) == want
 
 
 # -- cores --------------------------------------------------------------------------
@@ -451,6 +480,35 @@ def test_query_rejects_non_surjective_classifier():
     clf = TableClassifier(t, ["c0", "c0", "c1", "c1"])
     with pytest.raises(NotSurjective):
         Query(t, clf, instance_of_rank(t, 0))
+
+
+def test_equal_queries_hash_equal_and_hash_once(monkeypatch):
+    vac = load_bundle("vacation")
+    q = vac.query(1)
+    theory = validate_theory(json.loads(json.dumps(vac.theory.to_json_dict())))
+    again = Query(
+        theory,
+        TableClassifier(theory, list(vac.classifier.table)),
+        PartialAssignment.from_dict(theory, q.instance.to_dict()),
+    )
+    assert again is not q and again == q and hash(again) == hash(q)
+    assert {q: 1}[again] == 1
+    assert again != vac.query(2)
+    rehashed = []
+    monkeypatch.setattr(TableClassifier, "__hash__", lambda self: rehashed.append(self) or 0)
+    assert hash(again) == hash(q) and {q: 1}[again] == 1
+    assert rehashed == []
+
+
+def test_a_query_over_a_deep_formula_is_built_without_hashing_it():
+    """A formula's hash recurses through it; a query is hashed only when a
+    caller asks, so a rule list too deep for that still makes a query."""
+    theory = make_theory([2] * 12)
+    formula = Var("f1")
+    for i in range(700):
+        formula = Or(And(Var(f"f{i % 12 + 1}"), Var(f"f{(i + 1) % 12 + 1}")), formula)
+    classifier = FormulaClassifier(theory, formula, "c1", "c0")
+    assert Query(theory, classifier, instance_of_rank(theory, 0)).label == "c0"
 
 
 # -- JSON round trips ----------------------------------------------------------------

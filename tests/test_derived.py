@@ -1,6 +1,7 @@
 """Minimality- and distance-based explainers plus the faithful-ranking machinery."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from cfexplain import (
     DistanceError,
     NotAPreorder,
     PartialAssignment,
+    Query,
     Ranking,
+    TableClassifier,
     c_suf,
     card_min,
     dist_cap,
@@ -22,6 +25,7 @@ from cfexplain import (
     feat_min,
     hamming,
     indicator_weighting,
+    instance_of_rank,
     is_derived_member,
     is_faithful,
     load_bundle,
@@ -32,7 +36,17 @@ from cfexplain import (
     weighted_distance,
 )
 
-from helpers import make_theory, table_queries
+from cfexplain import derived as derived_module
+from cfexplain.explain import collect
+from helpers import (
+    load_reference,
+    make_theory,
+    multiclass_table_queries,
+    random_assignment,
+    random_novel,
+    reference_oracle,
+    table_queries,
+)
 
 
 def vac():
@@ -124,6 +138,79 @@ def test_is_derived_member_matches_enumeration(query, weights, tau):
             for kind, members in listed.items():
                 got = is_derived_member(kind, query, e, distance=distance, tau=tau)
                 assert got == (e in members.assignments()), (kind, e.render())
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return load_reference()
+
+
+def smallest_flips(kind, query, cap):
+    """cardMin by its definition: the flips of minimum size, in flip order."""
+    flips = c_suf(query).explanations
+    best = min(e.size for e in flips)
+    return collect(kind, [e for e in flips if e.size == best], cap)
+
+
+@given(multiclass_table_queries(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_smallest_flips_match_their_definition_and_the_reference(reference, query, rng):
+    """cardMin and hamming distMin, listed at several caps and decided on
+    random candidates, against the definition and bench/reference.py; the
+    weighted distMin decision against its own listing."""
+    theory = query.theory
+    oracle = reference_oracle(reference, query)
+    for cap in (None, 1, 3):
+        for kind, got in (
+            ("cardMin", card_min(query, cap)),
+            ("distMin", dist_min(query, hamming, cap)),
+        ):
+            assert got == smallest_flips(kind, query, cap)
+            assert ([e.values for e in got], got.truncated) == oracle.listing(kind, cap)
+    weights = {f: rng.choice([0.0, 0.5, 1.0, 2.5]) for f in theory.features}
+    weighted = weighted_distance(weights, theory)
+    members = card_min(query).assignments()
+    weighted_members = dist_min(query, weighted).assignments()
+    candidates = [
+        *members,
+        *weighted_members,
+        *(random_novel(rng, query.instance) for _ in range(8)),
+        *(random_assignment(rng, theory) for _ in range(8)),
+    ]
+    for e in candidates:
+        for kind in ("cardMin", "distMin"):
+            got = is_derived_member(kind, query, e)
+            assert got == (e in members) == oracle.member(kind, e.values), (kind, e.render())
+        got = is_derived_member("distMin", query, e, distance=weighted)
+        assert got == (e in weighted_members), e.render()
+
+
+def test_smallest_flips_come_from_the_masks(monkeypatch):
+    """On a 3^7 threshold table, deciding cardMin builds no instance from a
+    rank, and listing it builds one per member and classifies nothing."""
+    theory = make_theory([3] * 7)
+    ranks = range(theory.instance_count())
+    labels = ["c1" if sum(instance_of_rank(theory, r).values) >= 9 else "c0" for r in ranks]
+    q = Query(theory, TableClassifier(theory, labels), instance_of_rank(theory, 0))
+    assert q.label == "c0" and q.classifier.view
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    rank, classify = derived_module.instance_of_rank, TableClassifier.classify
+    monkeypatch.setattr(derived_module, "instance_of_rank", counting("rank", rank))
+    monkeypatch.setattr(TableClassifier, "classify", counting("classify", classify))
+    listed = card_min(q)
+    assert listed.count == 126  # four or five of the five changed values at 2
+    assert calls["rank"] <= listed.count and calls["classify"] == 0
+    calls.clear()
+    assert is_derived_member("cardMin", q, listed.explanations[0])
+    assert calls["rank"] == 0
 
 
 def test_is_derived_member_rejects_unknown_kind():

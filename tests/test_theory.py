@@ -21,13 +21,12 @@ from cfexplain import (
     instance_of_rank,
     novel_assignments,
     rank_of,
-    residual,
     subsets_of,
     substitute,
     validate_theory,
 )
 
-from helpers import make_theory, random_subset_of, small_theories
+from helpers import make_theory, random_subset_of, residual, small_theories
 
 
 def vacation_theory():
