@@ -28,7 +28,7 @@ from functools import cached_property
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .formulas import Clause, Formula, evaluate, evaluate_bitwise, parse_formula, tseitin
+from .formulas import Clause, Formula, evaluate_bitwise, parse_formula, tseitin
 from .theory import (
     PartialAssignment,
     Theory,
@@ -36,7 +36,6 @@ from .theory import (
     as_instance,
     instance_of_rank,
     rank_of,
-    strides,
     validate_theory,
 )
 
@@ -73,7 +72,9 @@ class Classifier:
 
     @cached_property
     def surjectivity(self) -> SurjectivityVerdict:
-        """Which classes of the theory no instance gets, decided once."""
+        """Which classes of the theory no instance gets, decided once: a
+        table reads its rows, a formula makes two calls to the built-in
+        solver, one per class literal."""
         produced = self._labels_produced()
         missing = tuple(c for c in self.theory.classes if c not in produced)
         return SurjectivityVerdict(not missing, missing)
@@ -192,7 +193,7 @@ class TableClassifier(Classifier):
         """The table of rows that hold one value per feature, in ``columns``
         order, then the class.  A row's rank is the sum of its values'
         ``position * stride``, one dict lookup per value."""
-        st = strides(theory)
+        st = theory.strides
         lookups = []
         for f in columns:
             i = theory.feature_position(f)
@@ -292,24 +293,25 @@ class FormulaClassifier(Classifier):
                 f"{list(verdict.missing)} can never be produced"
             )
 
+    @cached_property
+    def text(self) -> str:
+        """The formula as printed, rendered once; the JSON form, equality
+        and the hash read it."""
+        return str(self.formula)
+
+    def _key(self) -> tuple:
+        return (self.theory, self.text, self.class_if_true, self.class_if_false)
+
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FormulaClassifier)
-            and self.theory == other.theory
-            and self.formula == other.formula
-            and self.class_if_true == other.class_if_true
-            and self.class_if_false == other.class_if_false
-        )
+        return isinstance(other, FormulaClassifier) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(
-            (self.theory, self.formula, self.class_if_true, self.class_if_false)
-        )
+        return hash(self._key())
 
     def truth_of(self, x: PartialAssignment) -> bool:
+        """The bitwise evaluation on one row: x's values are its atoms' bits."""
         self._check_instance(x)
-        env = {f: v == 1 for f, v in zip(self.theory.features, x.values)}
-        return evaluate(self.formula, env)
+        return evaluate_bitwise(self.formula, dict(zip(self.theory.features, x.values)), 1) == 1
 
     def classify(self, x: PartialAssignment) -> str:
         return self.class_if_true if self.truth_of(x) else self.class_if_false
@@ -348,7 +350,7 @@ class FormulaClassifier(Classifier):
     def to_json_dict(self) -> dict:
         return {
             "type": "formula",
-            "formula": str(self.formula),
+            "formula": self.text,
             "class_if_true": self.class_if_true,
             "class_if_false": self.class_if_false,
         }
@@ -383,7 +385,7 @@ class ClassView:
         self.n_rows = n_rows
         self.full_mask = (1 << n_rows) - 1
         self.value_masks: list[list[int]] = []
-        for stride, domain in zip(strides(theory), theory.domains):
+        for stride, domain in zip(theory.strides, theory.domains):
             run, period = (1 << stride) - 1, stride * len(domain)
             self.value_masks.append(
                 [_tile(run << (v * stride), period, n_rows) for v in range(len(domain))]
@@ -466,15 +468,6 @@ def class_view(classifier: Classifier) -> ClassView:
 # -- operations ----------------------------------------------------------------
 
 
-def check_surjective(classifier: Classifier) -> SurjectivityVerdict:
-    """Is every class produced by at least one instance?
-
-    Tables are scanned; formulas take two calls to the built-in solver, one
-    per class literal.  The verdict is computed once per classifier.
-    """
-    return classifier.surjectivity
-
-
 def core_literals(
     classifier: Classifier, c: str, method: str = "auto"
 ) -> PartialAssignment:
@@ -535,8 +528,8 @@ class Query:
 
     def __hash__(self) -> int:
         """The dataclass hash of the fields, computed on the first lookup:
-        a formula's hash recurses through it, and some formulas that load
-        are too deep for that."""
+        a formula classifier's hash renders its formula, which a query that
+        is never looked up need not pay for."""
         if self._hash is None:
             object.__setattr__(self, "_hash", hash((self.theory, self.classifier, self.instance)))
         return self._hash

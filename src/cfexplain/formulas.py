@@ -3,23 +3,31 @@
 Grammar (loosest binding first):
     iff     := implies ("<->" implies)*          left-associative
     implies := or ("->" or)*                     right-associative
-    or      := and ("|" and)*
-    and     := unary ("&" unary)*
-    unary   := "!" unary | "(" iff ")" | atom
+    or      := and ("|" and)*                    one n-ary node per chain
+    and     := unary ("&" unary)*                one n-ary node per chain
+    unary   := "!"* ("(" iff ")" | atom)
     atom    := feature name  [A-Za-z_][A-Za-z0-9_]*
 
 An atom is true when its feature takes the *second* value of its (two-value)
 domain; with the conventional domain ("0", "1") that is "1".
 
+Every connective keeps its operands in one tuple; ``a & b & c`` is one
+``And`` node, a parenthesised group a node of its own.  Nothing recurses:
+the parser keeps a stack of open groups, ``atoms``, ``str`` and the Tseitin
+transform share one post-order walk, and evaluation stops reading operands
+once the result is settled.
+
 The module also provides the Tseitin transform to CNF (biconditional
 encoding, deterministic variable numbering: feature i -> variable i+1, then
-auxiliaries in post-order) and DIMACS serialization for external solvers.
+one auxiliary per connective in post-order) and DIMACS serialization for
+external solvers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+import math
+from functools import reduce
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -37,85 +45,104 @@ class ParseError(ValueError):
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class Formula:
+    """A connective over the tuple ``operands``; nodes compare by identity.
+
+    A node is not changed once built: classifiers cache its text and CNF."""
+
+    __slots__ = ("operands",)
+    arity = (2, 2)  # the least and the most operands
+
+    def __init__(self, *operands: Formula):
+        least, most = self.arity
+        if not least <= len(operands) <= most:
+            raise TypeError(
+                f"{type(self).__name__} takes {least} to {most} operands, not {len(operands)}"
+            )
+        self.operands = operands
+
     def atoms(self) -> frozenset[str]:
-        raise NotImplementedError
+        return _fold(self, _atoms)
 
     def __str__(self) -> str:
-        return _render(self, parent_level=0)
+        return _fold(self, _render)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Formula):
-    name: str
+    """An atom: a feature name, with no operands."""
 
-    def atoms(self) -> frozenset[str]:
-        return frozenset((self.name,))
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.operands = ()
+        self.name = name
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    child: Formula
-
-    def atoms(self) -> frozenset[str]:
-        return self.child.atoms()
+    __slots__ = ()
+    arity = (1, 1)
 
 
-@dataclass(frozen=True, slots=True)
-class _Binary(Formula):
-    left: Formula
-    right: Formula
-
-    def atoms(self) -> frozenset[str]:
-        return self.left.atoms() | self.right.atoms()
+class And(Formula):
+    __slots__ = ()
+    arity = (2, math.inf)
 
 
-@dataclass(frozen=True, slots=True)
-class And(_Binary):
-    pass
+class Or(Formula):
+    __slots__ = ()
+    arity = (2, math.inf)
 
 
-@dataclass(frozen=True, slots=True)
-class Or(_Binary):
-    pass
+class Implies(Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(_Binary):
-    pass
+class Iff(Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Iff(_Binary):
-    pass
+def _fold(f: Formula, visit: Callable[[Formula, list], Any]) -> Any:
+    """``visit(node, values of its operands)`` for every node of f in
+    post-order, operands left to right, without recursion; f's value."""
+    values: list = []
+    stack = [(f, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready or not node.operands:
+            k = len(values) - len(node.operands)
+            values[k:] = [visit(node, values[k:])]
+        else:
+            stack.append((node, True))
+            stack.extend((op, False) for op in reversed(node.operands))
+    return values[0]
+
+
+def _atoms(node: Formula, sets: list[frozenset[str]]) -> frozenset[str]:
+    return frozenset((node.name,)) if isinstance(node, Var) else frozenset().union(*sets)
 
 
 _LEVEL = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Var: 6}
-_SYMBOL = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
+_SYMBOL = {Iff: " <-> ", Implies: " -> ", Or: " | ", And: " & "}
 
 
-def _render(f: Formula, parent_level: int) -> str:
-    """Minimal-paren rendering that re-parses to the identical tree.
+def _render(node: Formula, texts: list[str]) -> str:
+    """Minimal-paren rendering that parses back to the same tree, save
+    that a first operand of the same ``&`` or ``|`` joins its parent's chain.
 
-    A child prints bare only where the parser would rebuild the same shape:
-    the left side of the left-associative connectives, the right side of
-    the right-associative ``->``, and any strictly tighter-binding child.
+    An operand prints bare only where the parser would rebuild the same
+    shape: the first operand of ``&``, ``|`` and the left-associative
+    ``<->``, the second of the right-associative ``->``, the operand of
+    ``!``, and any strictly tighter-binding operand.
     """
-    level = _LEVEL[type(f)]
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Not):
-        return "!" + _render(f.child, level)
-    sym = _SYMBOL[type(f)]
-    if isinstance(f, Implies):
-        left = _render(f.left, level + 1)
-        right = _render(f.right, level)
-    else:
-        left = _render(f.left, level)
-        right = _render(f.right, level + 1)
-    text = f"{left} {sym} {right}"
-    return f"({text})" if level < parent_level else text
+    if isinstance(node, Var):
+        return node.name
+    level = _LEVEL[type(node)]
+    first, rest = (level + 1, level) if isinstance(node, Implies) else (level, level + 1)
+    texts = [
+        text if _LEVEL[type(op)] >= (rest if k else first) else f"({text})"
+        for k, (op, text) in enumerate(zip(node.operands, texts))
+    ]
+    return "!" + texts[0] if isinstance(node, Not) else _SYMBOL[type(node)].join(texts)
 
 
 # -- parser -------------------------------------------------------------------
@@ -156,128 +183,115 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int, int]]:
     yield ("end", "", line, col)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
+# The binary connectives, loosest first; a group keeps one operand list per
+# connective, and _JOIN[level] builds the node for that list.
+_BINARY = ("<->", "->", "|", "&")
+_JOIN: tuple[Callable[[list[Formula]], Formula], ...] = (
+    lambda ops: reduce(Iff, ops),
+    lambda ops: reduce(lambda right, left: Implies(left, right), reversed(ops)),
+    lambda ops: ops[0] if len(ops) == 1 else Or(*ops),
+    lambda ops: ops[0] if len(ops) == 1 else And(*ops),
+)
 
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.tokens[self.pos]
 
-    def take(self) -> tuple[str, str, int, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _close(lists: list[list[Formula]], level: int) -> None:
+    """Join the operand lists of connectives tighter than ``level``, each
+    into one operand of the next looser one."""
+    for j in range(len(_BINARY) - 1, level, -1):
+        lists[j - 1].append(_JOIN[j](lists[j]))
+        lists[j] = []
 
-    def expect_sym(self, sym: str) -> None:
-        kind, value, line, col = self.peek()
-        if kind != "sym" or value != sym:
-            raise ParseError(f"expected {sym!r}", line, col)
-        self.take()
 
-    def parse(self) -> Formula:
-        f = self.iff()
-        kind, value, line, col = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing {value!r}", line, col)
-        return f
-
-    def iff(self) -> Formula:
-        f = self.implies()
-        while self.peek()[:2] == ("sym", "<->"):
-            self.take()
-            f = Iff(f, self.implies())
-        return f
-
-    def implies(self) -> Formula:
-        f = self.disjunction()
-        if self.peek()[:2] == ("sym", "->"):
-            self.take()
-            return Implies(f, self.implies())
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[:2] == ("sym", "|"):
-            self.take()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek()[:2] == ("sym", "&"):
-            self.take()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind, value, line, col = self.peek()
-        if kind == "sym" and value == "!":
-            self.take()
-            return Not(self.unary())
-        if kind == "sym" and value == "(":
-            self.take()
-            f = self.iff()
-            self.expect_sym(")")
-            return f
-        if kind == "name":
-            self.take()
-            return Var(value)
-        raise ParseError("expected a feature name, '!' or '('", line, col)
+def _group(lists: list[list[Formula]]) -> Formula:
+    """The formula of a finished group."""
+    _close(lists, 0)
+    return _JOIN[0](lists[0])
 
 
 def parse_formula(text: str) -> Formula:
-    return _Parser(text).parse()
+    """Parse the grammar above without recursion: an open parenthesis saves
+    the current group (its operand lists and the ``!`` run before it) on a
+    stack, and the closing one turns the inner group into one operand."""
+    groups: list[tuple[list[list[Formula]], int]] = []
+    lists: list[list[Formula]] = [[] for _ in _BINARY]
+    nots = 0
+    want_operand = True
+    for kind, value, line, col in list(_tokenize(text)):  # character errors first
+        if want_operand:
+            if value == "!":
+                nots += 1
+                continue
+            if value == "(":
+                groups.append((lists, nots))
+                lists, nots = [[] for _ in _BINARY], 0
+                continue
+            if kind != "name":
+                raise ParseError("expected a feature name, '!' or '('", line, col)
+            f: Formula = Var(value)
+        elif value in _BINARY:
+            _close(lists, _BINARY.index(value))
+            want_operand = True
+            continue
+        elif value == ")" and groups:
+            f = _group(lists)
+            lists, nots = groups.pop()
+        elif kind == "end" and not groups:
+            return _group(lists)
+        else:
+            message = "expected ')'" if groups else f"unexpected trailing {value!r}"
+            raise ParseError(message, line, col)
+        for _ in range(nots):
+            f = Not(f)
+        lists[-1].append(f)
+        nots = 0
+        want_operand = False
+    raise AssertionError("the token list ends with an end token")  # pragma: no cover
 
 
 # -- evaluation ----------------------------------------------------------------
 
 
 def evaluate(f: Formula, env: Mapping[str, bool]) -> bool:
-    """Truth value under an atom valuation."""
-    if isinstance(f, Var):
-        return bool(env[f.name])
-    if isinstance(f, Not):
-        return not evaluate(f.child, env)
-    if isinstance(f, And):
-        return evaluate(f.left, env) and evaluate(f.right, env)
-    if isinstance(f, Or):
-        return evaluate(f.left, env) or evaluate(f.right, env)
-    if isinstance(f, Implies):
-        return (not evaluate(f.left, env)) or evaluate(f.right, env)
-    if isinstance(f, Iff):
-        return evaluate(f.left, env) == evaluate(f.right, env)
-    raise TypeError(f"not a formula node: {f!r}")
+    """Truth value under an atom valuation: the bitwise walk over one row."""
+    return evaluate_bitwise(f, {a: 1 if v else 0 for a, v in env.items()}, 1) == 1
 
 
 def evaluate_bitwise(f: Formula, columns: Mapping[str, int], full_mask: int) -> int:
     """Evaluate over a whole truth table at once, bit-parallel.
 
     ``columns[a]`` holds one bit per table row (1 where atom a is true);
-    the result has one bit per row where the formula is true.
+    the result has one bit per row where the formula is true.  The walk is
+    iterative and reads no further operand once the result is settled: of
+    ``&`` at an all-zero mask, of ``|`` at ``full_mask``, and of ``->`` at
+    a premise false on every row.
     """
-    if isinstance(f, Var):
-        return columns[f.name]
-    if isinstance(f, Not):
-        return full_mask & ~evaluate_bitwise(f.child, columns, full_mask)
-    if isinstance(f, And):
-        return evaluate_bitwise(f.left, columns, full_mask) & evaluate_bitwise(
-            f.right, columns, full_mask
-        )
-    if isinstance(f, Or):
-        return evaluate_bitwise(f.left, columns, full_mask) | evaluate_bitwise(
-            f.right, columns, full_mask
-        )
-    if isinstance(f, Implies):
-        return (
-            full_mask & ~evaluate_bitwise(f.left, columns, full_mask)
-        ) | evaluate_bitwise(f.right, columns, full_mask)
-    if isinstance(f, Iff):
-        return full_mask & ~(
-            evaluate_bitwise(f.left, columns, full_mask)
-            ^ evaluate_bitwise(f.right, columns, full_mask)
-        )
-    raise TypeError(f"not a formula node: {f!r}")
+    frames: list[list] = []  # [connective, operand index, mask so far], innermost last
+    settled = {And: 0, Or: full_mask, Implies: full_mask}  # no further operand changes these
+    node = f
+    while True:
+        while node.operands:
+            frames.append([node, 0, full_mask if type(node) is And else 0])
+            node = node.operands[0]
+        value = columns[node.name]
+        while frames:
+            frame = frames[-1]
+            op, i, acc = frame
+            kind = type(op)
+            if kind is Not or (kind is Implies and not i):
+                value = full_mask & ~value  # a -> b is read as !a | b
+            if kind is And:
+                value &= acc
+            elif kind is not Iff:
+                value |= acc
+            elif i:
+                value = full_mask & ~(acc ^ value)
+            if i + 1 < len(op.operands) and value != settled.get(kind):
+                frame[1], frame[2] = i + 1, value
+                node = op.operands[i + 1]
+                break
+            frames.pop()
+        else:
+            return value
 
 
 # -- CNF / Tseitin --------------------------------------------------------------
@@ -291,37 +305,37 @@ def tseitin(
     """Biconditional Tseitin transform.
 
     Returns (clauses, root_literal, n_vars).  Atom variables come from
-    ``var_of_atom`` (1-based); auxiliary variables are numbered after the
-    highest atom variable, assigned in post-order so the encoding is
-    deterministic.  The root literal is asserted as a unit clause by callers
-    that want satisfiability of f itself.
+    ``var_of_atom`` (1-based); each connective other than ``!`` gets one
+    auxiliary variable, numbered after the highest atom variable in
+    post-order, so the encoding is deterministic.  The root literal is
+    asserted as a unit clause by callers that want satisfiability of f
+    itself.
     """
     clauses: list[Clause] = []
     next_var = max(var_of_atom.values(), default=0)
 
-    def walk(node: Formula) -> int:
+    def gate(node: Formula, lits: list[int]) -> int:
         nonlocal next_var
         if isinstance(node, Var):
             return var_of_atom[node.name]
         if isinstance(node, Not):
-            return -walk(node.child)
-        a = walk(node.left)
-        b = walk(node.right)
+            return -lits[0]
         next_var += 1
         g = next_var
-        if isinstance(node, And):
-            clauses.extend(((-g, a), (-g, b), (g, -a, -b)))
-        elif isinstance(node, Or):
-            clauses.extend(((-g, a, b), (g, -a), (g, -b)))
-        elif isinstance(node, Implies):
-            clauses.extend(((-g, -a, b), (g, a), (g, -b)))
-        elif isinstance(node, Iff):
+        if isinstance(node, Iff):
+            a, b = lits
             clauses.extend(((-g, -a, b), (-g, a, -b), (g, a, b), (g, -a, -b)))
-        else:  # pragma: no cover - closed AST
-            raise TypeError(f"not a formula node: {node!r}")
+        elif isinstance(node, And):
+            clauses.extend((-g, a) for a in lits)
+            clauses.append((g, *(-a for a in lits)))
+        else:  # Or, with a -> b read as !a | b
+            if isinstance(node, Implies):
+                lits = [-lits[0], lits[1]]
+            clauses.append((-g, *lits))
+            clauses.extend((g, -a) for a in lits)
         return g
 
-    root = walk(f)
+    root = _fold(f, gate)
     return clauses, root, next_var
 
 

@@ -331,21 +331,6 @@ def _model_instance(theory: Theory, model: Sequence[bool]) -> PartialAssignment:
     )
 
 
-def sat_solve(
-    theory: Theory,
-    formula: Formula,
-    oracle: Optional[SatOracle] = None,
-    units: Sequence[Clause] = (),
-) -> Optional[PartialAssignment]:
-    """One satisfying instance of the formula and the unit clauses, or None
-    when unsatisfiable.  The units follow the formula's Tseitin clauses."""
-    oracle = oracle if oracle is not None else SatOracle()
-    clauses, n_vars = encode_formula(theory, formula)
-    clauses.extend(units)
-    model = oracle.solve(clauses, n_vars)
-    return None if model is None else _model_instance(theory, model)
-
-
 # -- calls on a classifier's encoding ----------------------------------------------
 
 

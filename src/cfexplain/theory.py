@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping, Optional, Sequence
 
 
@@ -47,11 +46,28 @@ class InvalidLiteral(TheoryError):
 
 @dataclass(frozen=True)
 class Theory:
-    """Ordered features with finite domains, plus a class list."""
+    """Ordered features with finite domains, plus a class list.
+
+    Built once with the theory: its hash, ``strides`` (``strides[i]`` is
+    the rank step of feature i, see ``rank_of``) and the maps from feature
+    names and domain values to their positions.
+    """
 
     features: tuple[str, ...]
     domains: tuple[tuple[str, ...], ...]
     classes: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        strides = [1] * len(self.domains)
+        for i in range(len(self.domains) - 2, -1, -1):
+            strides[i] = strides[i + 1] * len(self.domains[i + 1])
+        object.__setattr__(self, "strides", tuple(strides))
+        object.__setattr__(self, "_feature_positions", _positions(self.features))
+        object.__setattr__(self, "_value_positions", tuple(map(_positions, self.domains)))
+        object.__setattr__(self, "_hash", hash((self.features, self.domains, self.classes)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_features(self) -> int:
@@ -59,7 +75,7 @@ class Theory:
 
     def feature_position(self, name: str) -> int:
         try:
-            return _positions(self.features)[name]
+            return self._feature_positions[name]
         except KeyError:
             raise InvalidLiteral(f"unknown feature {name!r}") from None
 
@@ -69,7 +85,7 @@ class Theory:
     def value_position(self, feature: str, value: str) -> int:
         fi = self.feature_position(feature)
         try:
-            return _positions(self.domains[fi])[value]
+            return self._value_positions[fi][value]
         except KeyError:
             raise InvalidLiteral(
                 f"value {value!r} is not in the domain of feature {feature!r}"
@@ -88,7 +104,6 @@ class Theory:
         }
 
 
-@lru_cache(maxsize=None)
 def _positions(names: tuple[str, ...]) -> dict[str, int]:
     return {name: i for i, name in enumerate(names)}
 
@@ -359,22 +374,14 @@ def subsets_of(
 # walk truth tables without materializing assignment objects.
 
 
-@lru_cache(maxsize=None)
-def strides(theory: Theory) -> tuple[int, ...]:
-    out = [1] * theory.n_features
-    for i in range(theory.n_features - 2, -1, -1):
-        out[i] = out[i + 1] * len(theory.domains[i + 1])
-    return tuple(out)
-
-
 def rank_of(x: PartialAssignment) -> int:
     as_instance(x)
-    s = strides(x.theory)
+    s = x.theory.strides
     return sum(v * s[i] for i, v in enumerate(x.values))
 
 
 def instance_of_rank(theory: Theory, rank: int) -> PartialAssignment:
-    s = strides(theory)
+    s = theory.strides
     values = []
     for i in range(theory.n_features):
         values.append((rank // s[i]) % len(theory.domains[i]))

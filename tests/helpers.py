@@ -115,15 +115,45 @@ def multiclass_table_queries(draw, max_features: int = 5, max_domain: int = 3):
 
 
 def random_formula(rng: random.Random, features: Sequence[str], depth: int = 3):
+    """A random formula tree; ``&`` and ``|`` nodes get 2 to 4 operands."""
     if depth <= 0 or rng.random() < 0.25:
         atom = Var(rng.choice(list(features)))
         return Not(atom) if rng.random() < 0.3 else atom
     kind = rng.randrange(5)
     if kind == 0:
         return Not(random_formula(rng, features, depth - 1))
-    left = random_formula(rng, features, depth - 1)
-    right = random_formula(rng, features, depth - 1)
-    return (And, Or, Implies, Iff)[kind - 1](left, right)
+    arity = rng.randint(2, 4) if kind <= 2 else 2
+    operands = [random_formula(rng, features, depth - 1) for _ in range(arity)]
+    return (And, Or, Implies, Iff)[kind - 1](*operands)
+
+
+def reference_evaluate(f, env) -> bool:
+    """The plain recursive evaluator, the reference for the iterative walks."""
+    if isinstance(f, Var):
+        return bool(env[f.name])
+    values = [reference_evaluate(op, env) for op in f.operands]
+    if isinstance(f, Not):
+        return not values[0]
+    if isinstance(f, And):
+        return all(values)
+    if isinstance(f, Or):
+        return any(values)
+    if isinstance(f, Implies):
+        return not values[0] or values[1]
+    if isinstance(f, Iff):
+        return values[0] == values[1]
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def rule_list(rng: random.Random, n_features: int = 12, n_terms: int = 1200, width: int = 8) -> str:
+    """A DNF over f1..fn as text: each term the conjunction of ``width``
+    literals on distinct features, in parentheses."""
+    terms = []
+    for _ in range(n_terms):
+        literals = [("" if rng.randrange(2) else "!") + f"f{i + 1}"
+                    for i in rng.sample(range(n_features), width)]
+        terms.append("(" + " & ".join(literals) + ")")
+    return " | ".join(terms)
 
 
 def random_boolean_query(rng: random.Random, n_features: int) -> Query:

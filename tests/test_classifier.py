@@ -20,7 +20,6 @@ from cfexplain import (
     TheoryError,
     TheoryMismatch,
     UnknownClass,
-    check_surjective,
     class_view,
     classifier_from_json,
     core_literals,
@@ -290,7 +289,7 @@ def test_formula_surjectivity_takes_two_solver_calls_once(monkeypatch):
     assert len(calls) == 2
     for r in (0, 1 << 20, (1 << 40) - 1):
         Query(t, clf, instance_of_rank(t, r))
-    assert len(calls) == 2 and check_surjective(clf).ok
+    assert len(calls) == 2 and clf.surjectivity.ok
     with pytest.raises(ClassifierError, match="too large"):
         class_view(clf)  # built only where it is read, and capped
 
@@ -316,11 +315,11 @@ def test_check_surjective_reports_missing():
             "classes": ["a", "b", "c"],
         }
     )
-    verdict = check_surjective(TableClassifier(t, ["a", "a"]))
+    verdict = TableClassifier(t, ["a", "a"]).surjectivity
     assert not verdict.ok
     assert set(verdict.missing) == {"b", "c"}
     # three classes cannot be covered by two instances at all
-    verdict = check_surjective(TableClassifier(t, ["a", "b"]))
+    verdict = TableClassifier(t, ["a", "b"]).surjectivity
     assert not verdict.ok and verdict.missing == ("c",)
 
 
@@ -501,14 +500,36 @@ def test_equal_queries_hash_equal_and_hash_once(monkeypatch):
 
 
 def test_a_query_over_a_deep_formula_is_built_without_hashing_it():
-    """A formula's hash recurses through it; a query is hashed only when a
-    caller asks, so a rule list too deep for that still makes a query."""
+    """A query is hashed only when a caller asks, so building one does not
+    render its formula."""
     theory = make_theory([2] * 12)
     formula = Var("f1")
     for i in range(700):
         formula = Or(And(Var(f"f{i % 12 + 1}"), Var(f"f{(i + 1) % 12 + 1}")), formula)
     classifier = FormulaClassifier(theory, formula, "c1", "c0")
     assert Query(theory, classifier, instance_of_rank(theory, 0)).label == "c0"
+
+
+def test_a_formula_classifier_over_a_long_rule_list_hashes():
+    theory = make_theory([2] * 12)
+    formula = Var("f1")
+    for i in range(1100):
+        formula = Or(And(Var(f"f{i % 12 + 1}"), Var(f"f{(i + 1) % 12 + 1}")), formula)
+    classifier = FormulaClassifier(theory, formula, "c1", "c0")
+    again = FormulaClassifier(theory, classifier.text, "c1", "c0")
+    assert again == classifier and hash(again) == hash(classifier)
+    q = Query(theory, classifier, instance_of_rank(theory, 0))
+    assert {q: 1}[Query(theory, again, instance_of_rank(theory, 0))] == 1
+
+
+def test_formula_classifiers_compare_by_printed_formula_and_labels():
+    theory = make_theory([2] * 3)
+    built = FormulaClassifier(theory, And(Var("f1"), Or(Var("f2"), Var("f3"))), "c1", "c0")
+    parsed = FormulaClassifier(theory, "f1 & (f2 | f3)", "c1", "c0")
+    assert built == parsed and hash(built) == hash(parsed)
+    assert built != FormulaClassifier(theory, "f1 & (f2 | f3)", "c0", "c1")
+    assert built != FormulaClassifier(theory, "f1 & f2 | f3", "c1", "c0")
+    assert built.to_json_dict()["formula"] == built.text == "f1 & (f2 | f3)"
 
 
 # -- JSON round trips ----------------------------------------------------------------

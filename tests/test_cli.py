@@ -13,6 +13,7 @@ import pytest
 from cfexplain import (
     PartialAssignment,
     Query,
+    complement_instance,
     decide_exp,
     fixture_text,
     is_member,
@@ -24,7 +25,7 @@ from cfexplain import (
 from cfexplain.cli import main
 
 from conftest import tool
-from helpers import planted_cnf
+from helpers import planted_cnf, rule_list
 
 
 def run_cli(capsys, *argv):
@@ -585,16 +586,16 @@ def test_broken_sat_backend_fails_cleanly(capsys):
 # -- formulas past the truth-table cap ---------------------------------------------
 
 
-@pytest.fixture()
-def wide_cnf_files(tmp_path):
-    """A planted 3-CNF over 40 features (2^40 instances) and one instance."""
-    rng = random.Random(40)
-    names = [f"f{i + 1}" for i in range(40)]
+def boolean_files(tmp_path, n, formula, rng):
+    """Files for a theory of n boolean features f1..fn with classes T and
+    F, the classifier 'classes: T,F' over ``formula``, and a random
+    instance; their paths by flag name."""
+    names = [f"f{i + 1}" for i in range(n)]
     theory = {"features": [{"name": f, "domain": ["0", "1"]} for f in names],
               "classes": ["T", "F"]}
     files = {
         "theory": json.dumps(theory),
-        "classifier": "classes: T,F\n" + planted_cnf(rng, 40, 80) + "\n",
+        "classifier": "classes: T,F\n" + formula + "\n",
         "instance": json.dumps({f: rng.choice("01") for f in names}),
     }
     paths = {}
@@ -603,6 +604,13 @@ def wide_cnf_files(tmp_path):
         path.write_text(text)
         paths[flag] = str(path)
     return paths
+
+
+@pytest.fixture()
+def wide_cnf_files(tmp_path):
+    """A planted 3-CNF over 40 features (2^40 instances) and one instance."""
+    rng = random.Random(40)
+    return boolean_files(tmp_path, 40, planted_cnf(rng, 40, 80), rng)
 
 
 def wide_query(paths) -> Query:
@@ -655,6 +663,39 @@ def test_listing_past_the_view_cap_fails_cleanly(capsys, wide_cnf_files, argv):
     assert code == 1 and out == ""
     assert err.splitlines() == [err.strip()]
     assert err.startswith("error: ClassifierError: ")
+
+
+# -- long and deep formulas ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, budget", [("cSuf", 1), ("sNec", 1), ("sSuf", 0)])
+def test_find_on_a_long_rule_list(capsys, tmp_path, kind, budget):
+    """1,200 terms of 8 literals over 12 features; this seed gives both classes."""
+    rng = random.Random(1200)
+    paths = boolean_files(tmp_path, 12, rule_list(rng), rng)
+    payload = run_json(
+        capsys, "find", *wide_flags(paths), "--kind", kind, "--count-oracle-calls"
+    )
+    assert payload["oracle_calls"] <= budget
+    q = wide_query(paths)
+    if payload["found"]:
+        assert is_member(kind, q, PartialAssignment.from_dict(q.theory, payload["explanation"]))
+    else:
+        assert kind == "sSuf" and not is_member(kind, q, complement_instance(q.instance))
+
+
+@pytest.mark.parametrize(
+    "formula, code", [("!" * 3000 + "f1 | f2", 0), ("(" * 3000 + "f1 | f2", 1)],
+    ids=["negations", "parentheses"],
+)
+def test_deep_formula_text_needs_no_recursion(capsys, tmp_path, formula, code):
+    paths = boolean_files(tmp_path, 2, formula, random.Random(3))
+    code_got, out, err = run_cli(capsys, "find", *wide_flags(paths), "--kind", "cSuf")
+    assert code_got == code, err
+    if code:
+        assert out == "" and err == "error: ParseError: expected ')' (line 1, column 3008)\n"
+    else:
+        assert json.loads(out)["found"]
 
 
 # -- console script -----------------------------------------------------------------

@@ -23,7 +23,7 @@ from cfexplain.formulas import (
 )
 from cfexplain.sat import dpll
 
-from helpers import brute_sat, random_formula
+from helpers import brute_sat, random_formula, reference_evaluate
 
 
 def envs(names):
@@ -42,7 +42,7 @@ def test_precedence_and_top_down():
     f = parse_formula("a <-> b -> c")
     assert isinstance(f, Iff)
     f = parse_formula("!a & b")
-    assert isinstance(f, And) and isinstance(f.left, Not)
+    assert isinstance(f, And) and isinstance(f.operands[0], Not)
 
 
 def test_implies_is_right_associative():
@@ -121,7 +121,7 @@ def test_bitwise_matches_pointwise(rng):
     got = evaluate_bitwise(f, columns, full_mask)
     for r in range(1 << n):
         env = {name: bool((r >> i) & 1) for i, name in enumerate(names)}
-        assert bool((got >> r) & 1) == evaluate(f, env)
+        assert bool((got >> r) & 1) == reference_evaluate(f, env) == evaluate(f, env)
 
 
 # -- CNF translation --------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_tseitin_preserves_models(rng):
     truth = {
         tuple(env[n] for n in names)
         for env in envs(names)
-        if evaluate(f, env)
+        if reference_evaluate(f, env)
     }
     assert tseitin_models(f, names) == truth
 
@@ -165,7 +165,7 @@ def test_tseitin_equisatisfiable_under_dpll(rng):
     assert (model is None) == (brute is None)
     if model is not None:
         env = {n: model[var_of[n] - 1] for n in names}
-        assert evaluate(f, env)
+        assert reference_evaluate(f, env)
 
 
 def test_tseitin_variable_layout():
@@ -178,3 +178,92 @@ def test_tseitin_variable_layout():
 def test_to_dimacs_golden():
     text = to_dimacs([(1, -2), (2,)], 2, comments=["note"])
     assert text == "c note\np cnf 2 2\n1 -2 0\n2 0\n"
+
+
+# -- n-ary chains, rendering, deep input ----------------------------------------
+
+
+def test_chains_are_single_connectives_and_groups_stay_nodes():
+    f = parse_formula("a & b & !c")
+    assert isinstance(f, And) and len(f.operands) == 3
+    f = parse_formula("(a | b) | c")
+    assert isinstance(f, Or) and isinstance(f.operands[0], Or) and len(f.operands) == 2
+    assert str(And(And(Var("a"), Var("b")), Var("c"))) == "a & b & c"
+    assert str(And(Var("a"), Var("b"), Var("c"))) == "a & b & c"
+
+
+def test_str_of_nested_connectives_is_pinned():
+    for text, printed in (
+        ("a & (b & c)", "a & (b & c)"),
+        ("(a & b) & c", "a & b & c"),
+        ("a -> (b -> c)", "a -> b -> c"),
+        ("(a -> b) -> c", "(a -> b) -> c"),
+        ("a <-> (b <-> c)", "a <-> (b <-> c)"),
+        ("!!a", "!!a"),
+    ):
+        assert str(parse_formula(text)) == printed
+
+
+def test_connectives_check_their_operand_count():
+    a, b = Var("a"), Var("b")
+    for build in (lambda: And(a), lambda: Or(), lambda: Not(a, b), lambda: Implies(a),
+                  lambda: Iff(a, b, a)):
+        with pytest.raises(TypeError):
+            build()
+    assert len(Or(a, b, a, b).operands) == 4
+
+
+def test_evaluation_reads_no_operand_once_settled():
+    # the atom z has no column: reading it would raise KeyError
+    assert evaluate_bitwise(parse_formula("a & b & z"), {"a": 0b01, "b": 0b10}, 0b11) == 0
+    assert evaluate_bitwise(parse_formula("a | b | z"), {"a": 0b01, "b": 0b10}, 0b11) == 0b11
+    assert evaluate_bitwise(parse_formula("a -> z"), {"a": 0}, 0b11) == 0b11
+    assert evaluate(parse_formula("!a & z"), {"a": True}) is False
+    with pytest.raises(KeyError):
+        evaluate_bitwise(parse_formula("a & z"), {"a": 0b01}, 0b11)
+
+
+DEPTH = 3000
+
+
+@pytest.mark.parametrize("connective", ["!", "->", "<->"])
+def test_deep_chains_need_no_recursion(connective):
+    names = [f"f{i % 12 + 1}" for i in range(DEPTH + 1)]
+    text = "!" * DEPTH + "f1" if connective == "!" else f" {connective} ".join(names)
+    f = parse_formula(text)
+    assert str(f) == text
+    assert f.atoms() == set(names[:1] if connective == "!" else names)
+    rng = random.Random(DEPTH)
+    for _ in range(4):
+        env = {n: rng.random() < 0.8 for n in set(names)}
+        values = [env[n] for n in names]
+        if connective == "!":
+            expected = values[0]  # an even number of negations
+        elif connective == "->":
+            expected = values[-1]
+            for v in reversed(values[:-1]):
+                expected = not v or expected
+        else:
+            expected = values[0]
+            for v in values[1:]:
+                expected = expected == v
+        assert evaluate(f, env) is expected
+        columns = {n: int(v) for n, v in env.items()}
+        assert evaluate_bitwise(f, columns, 1) == int(expected)
+    clauses, root, n_vars = tseitin(f, {f"f{i + 1}": i + 1 for i in range(12)})
+    per_gate = {"!": 0, "->": 3, "<->": 4}[connective]
+    assert len(clauses) == per_gate * DEPTH
+    assert n_vars == 12 + (0 if connective == "!" else DEPTH)
+    assert root == (1 if connective == "!" else n_vars)
+
+
+def test_deep_parentheses_parse_and_print_back():
+    assert str(parse_formula("(" * DEPTH + "a" + ")" * DEPTH)) == "a"
+    f = Var("a")
+    for i in range(DEPTH):  # a & (b & (a & ...)): every inner level needs parentheses
+        f = And(Var("ab"[i % 2]), f)
+    text = str(f)
+    assert text.count("(") == DEPTH - 1 and str(parse_formula(text)) == text
+    with pytest.raises(ParseError) as exc_info:
+        parse_formula("(" * DEPTH + "a")
+    assert (exc_info.value.line, exc_info.value.column) == (1, DEPTH + 2)

@@ -28,7 +28,6 @@ from cfexplain import (
     is_derived_member,
     is_member,
     load_bundle,
-    sat_solve,
     substitute,
     weighted_distance,
 )
@@ -48,6 +47,7 @@ from helpers import (
     random_novel,
     random_subset_of,
     reference_dpll,
+    rule_list,
 )
 
 SAT_DECIDE_KINDS = (
@@ -165,11 +165,18 @@ def test_at_most_k_via_forced_subsets():
 def test_encode_and_solve_round_trip():
     t = make_theory([2, 2, 2])
     f = parse_formula("(f1 | f2) & !f3")
-    got = sat_solve(t, f)
-    assert got is not None
-    env = {name: v == 1 for name, v in zip(t.features, got.values)}
-    assert evaluate(f, env)
-    assert sat_solve(t, parse_formula("f1 & !f1")) is None
+    model = dpll(*encode_formula(t, f))
+    assert model is not None
+    assert evaluate(f, dict(zip(t.features, model)))
+    assert dpll(*encode_formula(t, parse_formula("f1 & !f1"))) is None
+
+
+def test_a_rule_list_encodes_to_one_gate_per_connective():
+    """1,200 terms of 8 literals: one auxiliary and 9 clauses per term, and
+    one auxiliary and 1,201 clauses for the disjunction."""
+    var_of = {f"f{i + 1}": i + 1 for i in range(12)}
+    clauses, root, n_vars = tseitin(parse_formula(rule_list(random.Random(12))), var_of)
+    assert (len(clauses), root, n_vars) == (12_001, 1_213, 1_213)
 
 
 def test_encode_formula_rejects_wide_domains():

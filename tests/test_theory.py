@@ -209,6 +209,15 @@ def test_residual_examples():
     assert residual(x, off) == []
 
 
+def test_a_theory_keeps_its_strides_and_hash():
+    t = make_theory([2, 3, 2])
+    assert t.strides == (6, 2, 1)
+    assert rank_of(PartialAssignment(t, (1, 2, 1))) == 6 + 4 + 1
+    again = make_theory([2, 3, 2])
+    assert again == t and hash(again) == hash(t) == hash((t.features, t.domains, t.classes))
+    assert repr(t) == f"Theory(features={t.features!r}, domains={t.domains!r}, classes={t.classes!r})"
+
+
 def test_rank_round_trip():
     t = make_theory([2, 3, 2])
     for r in range(t.instance_count()):
