@@ -121,7 +121,6 @@ from .theory import (
     TheoryMismatch,
     TooFewClasses,
     as_instance,
-    disjoint_assignments,
     enumerate_instances,
     enumerate_partial_assignments,
     instance_of_rank,

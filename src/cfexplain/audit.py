@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .bundles import load_bundle
 from .classifier import (
-    ClassView,
+    MaskSpace,
     Query,
     TableClassifier,
     class_view,
@@ -46,8 +46,6 @@ from .explain import (
     CORE_KINDS,
     ExplanationSet,
     c_suf,
-    class_context,
-    core_offenders,
     explanation_set_from_json,
     g_nec,
     g_suf,
@@ -55,8 +53,6 @@ from .explain import (
     overwrite_flips,
     s_nec,
     s_suf,
-    sceptical_offenders,
-    strong_offenders,
 )
 from .theory import (
     PartialAssignment,
@@ -184,12 +180,12 @@ _PER_EXPLANATION = tuple(a for a in AXIOMS if a not in ("Success", "Equivalence"
 
 
 def _violation(
-    axiom: str, q: Query, view: ClassView, cmask: int, e: PartialAssignment
+    axiom: str, q: Query, space: MaskSpace, e: PartialAssignment
 ) -> Optional[tuple[Optional[PartialAssignment], str]]:
     """(witness, detail) when e, offered for q, violates the axiom, else None.
 
-    ``axiom`` is one of _PER_EXPLANATION; (view, cmask) is q's class context.
-    ScepticalValidity is vacuous for an e that is not part of x.
+    ``axiom`` is one of _PER_EXPLANATION; ``space`` is x's class on q's
+    truth table.  ScepticalValidity is vacuous for an e that is not part of x.
     """
     x = q.instance
     if axiom == "NonTriviality":
@@ -197,19 +193,19 @@ def _violation(
     if axiom == "Feasibility":
         return None if e.subset_of(x) else (None, "explanation not part of x")
     if axiom == "Coreness":
-        if not core_offenders(view, cmask, e):
+        if not space.lacking(e):
             return None
         core = core_literals(q.classifier, q.label)
         return None, f"not inside the class core ({core.render()})"
     if axiom == "ScepticalValidity":
-        bad = sceptical_offenders(view, cmask, x, e)
+        bad = space.variant(x, e)
         if not bad:
             return None
         return _first_instance(q, bad), "an exact-change variant keeps the class"
     if axiom == "Novelty":
         return None if e.disjoint_from(x) else (None, "shares a literal with x")
     if axiom == "StrongValidity":
-        bad = strong_offenders(view, cmask, e)
+        bad = space.extending(e)
         if not bad:
             return None
         return _first_instance(q, bad), "an extension keeps the class"
@@ -241,10 +237,9 @@ def _first_violations(
             success = False
         if not (out.count and pending):
             continue
-        view, cmask = class_context(q)
         for e in out:
             for axiom in tuple(pending):
-                hit = _violation(axiom, q, view, cmask, e)
+                hit = _violation(axiom, q, q.space, e)
                 if hit is not None:
                     found[axiom] = Counterexample(q, e, hit[0], detail=hit[1])
                     pending.remove(axiom)
@@ -658,11 +653,10 @@ def check_impossibility(witness: ImpossibilityWitness) -> tuple[bool, str]:
     ):
         return False, "Equivalence does not make the witness queries share members"
     axioms = [a for a in witness.axioms if a in _PER_EXPLANATION]
-    contexts = [(q, *class_context(q)) for q in queries]
     for e in enumerate_partial_assignments(witness.query.theory):
         if all(
-            _violation(a, q, view, cmask, e) is None
-            for q, view, cmask in contexts
+            _violation(a, q, q.space, e) is None
+            for q in queries
             for a in axioms
         ):
             return False, f"{e.render()} passes {'+'.join(axioms)} on every witness query"
@@ -685,7 +679,7 @@ def constant_blank(query: Query) -> ExplanationSet:
 
 def old_values(query: Query) -> ExplanationSet:
     """The parts of x overwritten by each differently-classified instance."""
-    view, cmask = class_context(query)
+    view, cmask = query.space.view, query.space.cmask
     x = query.instance
     found = {
         x.difference(instance_of_rank(query.theory, rank))

@@ -36,6 +36,7 @@ from .theory import (
     as_instance,
     instance_of_rank,
     rank_of,
+    substitute,
     validate_theory,
 )
 
@@ -103,6 +104,16 @@ class Classifier:
         as_instance(x)
 
 
+def _lines(text: str, window: int = 1 << 16) -> Iterator[str]:
+    r"""The lines of text, each with its "\n", split at "\n" only (not where
+    ``str.splitlines`` would), buffering about ``window`` characters at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + window) + 1 or len(text)
+        yield from io.StringIO(text[start:end])
+        start = end
+
+
 class TableClassifier(Classifier):
     """Explicit class label for every instance, stored in rank order."""
 
@@ -155,7 +166,7 @@ class TableClassifier(Classifier):
         The columns and the rows may come in any order; blank lines are
         skipped.
         """
-        reader = csv.reader(io.StringIO(text))
+        reader = csv.reader(_lines(text))
         header = next(reader, None)
         if header is None:
             raise ClassifierError("empty classifier CSV")
@@ -465,6 +476,56 @@ def class_view(classifier: Classifier) -> ClassView:
     return classifier.view
 
 
+# -- the instance space as masks ------------------------------------------------
+#
+# ``explain.membership`` states all nine kinds once, as existence questions
+# about the instance space.  A space answers each with its offenders, falsy
+# when the condition holds: ``MaskSpace`` with a mask over instance ranks, and
+# ``sat.SatSpace`` with one oracle call and a witness instance or None.  Every
+# membership test, every axiom check and the sNec, gSuf and sSuf listings ask
+# a space, and no membership test re-derives them.
+
+
+class MaskSpace:
+    """The instance space of one class, as masks on the truth table."""
+
+    __slots__ = ("view", "cmask")
+
+    def __init__(self, view: ClassView, cmask: int):
+        self.view, self.cmask = view, cmask
+
+    def lacking(self, e: PartialAssignment) -> int:
+        """The instances of the class that lack some literal of e."""
+        return self.cmask & ~self.view.mask_containing(e)
+
+    def extending(self, e: PartialAssignment) -> int:
+        """The instances of the class that extend e."""
+        return self.view.mask_containing(e) & self.cmask
+
+    def variant(self, x: PartialAssignment, e: PartialAssignment) -> int:
+        """The instances of the class differing from x exactly on e's
+        features (none when e is not part of x)."""
+        return self.view.mask_residual(x, e) & self.cmask
+
+    def smaller_flip(self, x: PartialAssignment, e: PartialAssignment) -> int:
+        """The instances of another class equal to x outside Feat(e) and on
+        at least one feature of Feat(e), for e sharing no literal with x."""
+        view, y = self.view, substitute(x, e)
+        other = view.full_mask & ~self.cmask
+        return (
+            other
+            & view.mask_containing(x.intersection(y))
+            & ~view.mask_residual(x, x.difference(y))
+        )
+
+    def within(self, x: PartialAssignment, k: int) -> int:
+        """The instances of another class differing from x on at most k features."""
+        near = 0
+        for layer in self.view.distance_layers(x)[: k + 1]:
+            near |= layer
+        return near & ~self.cmask
+
+
 # -- operations ----------------------------------------------------------------
 
 
@@ -538,6 +599,12 @@ class Query:
     def label(self) -> str:
         """x's class, classified once (the fields are frozen)."""
         return self.classifier.classify(self.instance)
+
+    @cached_property
+    def space(self) -> MaskSpace:
+        """x's class on the classifier's truth table, built on first read."""
+        view = self.classifier.view
+        return MaskSpace(view, view.class_mask(self.label))
 
     def to_json_dict(self) -> dict:
         return {

@@ -48,7 +48,6 @@ from .classifier import (
     core_literals,
 )
 from .derived import (
-    DERIVED_KINDS,
     DistanceError,
     NotAPreorder,
     card_min,
@@ -56,11 +55,10 @@ from .derived import (
     dist_min,
     feat_min,
     hamming,
-    is_derived_member,
     parse_weights,
     weighted_distance,
 )
-from .explain import CORE_KINDS, generate, is_member
+from .explain import CORE_KINDS, KINDS, generate, membership
 from .formulas import ParseError
 from .sat import (
     BackendFailure,
@@ -68,12 +66,11 @@ from .sat import (
     ExecBackend,
     NotBoolean,
     SatOracle,
-    decide_exp,
+    SatSpace,
     find_exp,
 )
 from .theory import PartialAssignment, TheoryError
 
-KINDS = CORE_KINDS + DERIVED_KINDS
 _KIND_BY_ALIAS = {k.lower(): k for k in KINDS}
 
 _DOMAIN_ERRORS = (
@@ -214,17 +211,13 @@ def cmd_decide(args) -> int:
     distance = _distance(args, query.theory)
     payload = {"kind": kind, "explanation": e.to_dict()}
     if isinstance(query.classifier, FormulaClassifier):
-        oracle = _oracle(args)
-        member = decide_exp(
-            kind, query, e, oracle=oracle, distance=distance, tau=args.tau
-        )
-        if args.count_oracle_calls:
-            payload["oracle_calls"] = oracle.calls
-    elif kind in CORE_KINDS:
-        member = is_member(kind, query, e)
+        space = SatSpace(query.classifier, query.label, _oracle(args))
     else:
-        member = is_derived_member(kind, query, e, distance=distance, tau=args.tau)
+        space = query.space
+    member = membership(kind, space, query, e, distance, args.tau)
     payload["member"] = member
+    if args.count_oracle_calls and isinstance(space, SatSpace):
+        payload["oracle_calls"] = space.oracle.calls
     if args.format == "text":
         sys.stdout.write(("member" if member else "not a member") + "\n")
     else:

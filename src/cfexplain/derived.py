@@ -17,10 +17,11 @@ family is computed over genuinely novel assignments and its outputs are
 always credulous sufficient reasons.
 
 A flip changes every feature it names, so its hamming distance is its size.
-cardMin and hamming distMin are therefore decided and listed from the
-truth table's Hamming-distance layers around x (``ClassView.distance_layers``):
-the nearest layer holding an other-class instance gives the minimum size and
-the members.  featMin, distCap and weighted distMin select from the flips.
+cardMin and hamming distMin are therefore listed from the truth table's
+Hamming-distance layers around x (``ClassView.distance_layers``): the
+nearest layer holding an other-class instance gives the minimum size and the
+members.  featMin, distCap and weighted distMin select from the flips.
+Membership of all four is ``explain.membership``.
 
 Each family is also the set of maximal elements of a "faithful" ranking — a
 preorder that strictly prefers every flip to every non-flip.  The weightings
@@ -36,25 +37,23 @@ from typing import Callable, Mapping, Optional
 
 from .classifier import Query, ranks_in
 from .explain import (
+    DERIVED_KINDS,
+    DistanceMeasure,
     ExplanationSet,
     c_suf,
-    class_context,
     collect,
     is_member,
-    sceptical_offenders,
-    strong_offenders,
+    membership,
 )
 from .theory import (
     PartialAssignment,
     enumerate_partial_assignments,
+    hamming,
     instance_of_rank,
     substitute,
 )
 
-DistanceMeasure = Callable[[PartialAssignment, PartialAssignment], float]
 Weighting = Callable[[PartialAssignment], float]
-
-DERIVED_KINDS = ("featMin", "cardMin", "distMin", "distCap")
 
 
 class NotAPreorder(ValueError):
@@ -66,11 +65,6 @@ class DistanceError(ValueError):
 
 
 # -- distance measures -----------------------------------------------------------
-
-
-def hamming(x: PartialAssignment, y: PartialAssignment) -> float:
-    """Number of features on which the two instances differ."""
-    return float(sum(1 for a, b in zip(x.values, y.values) if a != b))
 
 
 def parse_weights(raw: Mapping, theory) -> dict[str, float]:
@@ -124,26 +118,17 @@ def feat_min(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     return collect("featMin", chosen, cap)
 
 
-def _nearest_other(query: Query) -> tuple[int, int]:
-    """The fewest features d on which an other-class instance differs from
-    x, and the mask of the other-class instances at that distance.  The
-    classifier is surjective, so some layer past x's own holds one."""
-    view, cmask = class_context(query)
-    other = view.full_mask & ~cmask
-    return next(
-        (d, layer & other)
-        for d, layer in enumerate(view.distance_layers(query.instance))
-        if layer & other
-    )
-
-
 def _nearest_flips(query: Query, kind: str, cap: Optional[int]) -> ExplanationSet:
-    """The flips of minimum size: for each nearest other-class instance y,
-    the part of y that x does not share."""
+    """The flips of minimum size: for each other-class instance y in the
+    nearest Hamming layer around x that holds one, the part of y that x does
+    not share.  The classifier is surjective, so some layer past x's own does."""
+    view, cmask = query.space.view, query.space.cmask
     x = query.instance
+    other = view.full_mask & ~cmask
+    nearest = next(layer & other for layer in view.distance_layers(x) if layer & other)
     flips = [
         instance_of_rank(query.theory, r).difference(x)
-        for r in ranks_in(_nearest_other(query)[1])
+        for r in ranks_in(nearest)
     ]
     return collect(kind, sorted(flips, key=PartialAssignment.sort_key), cap)
 
@@ -181,22 +166,6 @@ def dist_cap(
     return collect("distCap", chosen, cap)
 
 
-def nothing_closer(
-    query: Query, e: PartialAssignment, distance: DistanceMeasure
-) -> bool:
-    """No other-class instance lies strictly closer to x than x overwritten
-    by e.  Every flip's counterfactual is such an instance, so for a flip e
-    this is distance-minimality.  It measures every other-class instance, so
-    it serves generic distances; hamming is read off the distance layers."""
-    view, cmask = class_context(query)
-    x = query.instance
-    mine = distance(substitute(x, e), x)
-    return all(
-        distance(instance_of_rank(query.theory, rank), x) >= mine
-        for rank in ranks_in(view.full_mask & ~cmask)
-    )
-
-
 def is_derived_member(
     kind: str,
     query: Query,
@@ -204,29 +173,11 @@ def is_derived_member(
     distance: DistanceMeasure = hamming,
     tau: float = math.inf,
 ) -> bool:
-    """Definitional membership for the derived families, decided from the
+    """Membership of the four derived kinds, decided on the classifier's
     truth table without listing the flips."""
     if kind not in DERIVED_KINDS:
         raise ValueError(f"unknown derived kind {kind!r}")
-    if not is_member("cSuf", query, e):
-        return False
-    x = query.instance
-    if kind == "featMin":
-        # a smaller flip is an other-class instance differing from x on a
-        # strict subset of Feat(e): among those agreeing with x off Feat(e),
-        # every one must differ from x on all of Feat(e)
-        view, cmask = class_context(query)
-        other = view.full_mask & ~cmask
-        y = substitute(x, e)
-        return not (
-            strong_offenders(view, other, x.intersection(y))
-            & ~sceptical_offenders(view, other, x, x.difference(y))
-        )
-    if kind == "cardMin" or (kind == "distMin" and distance is hamming):
-        return e.size == _nearest_other(query)[0]  # a flip's hamming distance is its size
-    if kind == "distMin":
-        return nothing_closer(query, e, distance)
-    return distance(substitute(x, e), x) < tau
+    return membership(kind, query.space, query, e, distance, tau)
 
 
 # -- weightings and rankings -----------------------------------------------------

@@ -15,30 +15,43 @@ differently, in one of five senses:
 * cSuf — E shares no literal with x and overwriting x with E changes the
   class (there exists a witness, rather than all extensions agreeing).
 
-All membership tests are evaluated definitionally: the quantifiers over
-instances run against the classifier's bit-parallel truth table, so these
-functions serve as the reference oracles that the search procedures are
-differential-tested against.  Enumeration emits the canonical order (size,
-then assigned features, then values) so capped output keeps the smallest
+``membership`` defines all nine kinds, these five and the four of
+``derived``, once: each kind's condition is a question about the instance
+space, asked of a truth table here (``is_member``) or of a SAT oracle
+(``sat.decide_exp``).  Enumeration emits the canonical order (size, then
+assigned features, then values) so capped output keeps the smallest
 explanations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .classifier import Classifier, ClassView, Query, class_view, core_literals, enumerable_count
+from .classifier import (
+    Classifier,
+    Query,
+    core_literals,
+    enumerable_count,
+    ranks_in,
+)
 from .theory import (
     PartialAssignment,
     enumerate_partial_assignments,
+    hamming,
+    instance_of_rank,
     novel_assignments,
     subsets_of,
     substitute,
 )
 
 CORE_KINDS = ("gNec", "sNec", "gSuf", "sSuf", "cSuf")
+DERIVED_KINDS = ("featMin", "cardMin", "distMin", "distCap")
+KINDS = CORE_KINDS + DERIVED_KINDS
+
+DistanceMeasure = Callable[[PartialAssignment, PartialAssignment], float]
 
 
 @dataclass(frozen=True)
@@ -100,36 +113,7 @@ def collect(
     return ExplanationSet(kind, out, next(rest, None) is not None)
 
 
-# -- the four primitive predicates ------------------------------------------------
-#
-# Every family, every axiom check and the SAT decision path test these, and
-# nothing else re-derives them.  A mask predicate returns its offenders as a
-# mask over instance ranks: 0 means the predicate holds, and any set bit is a
-# witness instance against it.
-
-
-def class_context(query: Query) -> tuple[ClassView, int]:
-    """The classifier's view and x's class mask, computed once per query."""
-    view = class_view(query.classifier)
-    return view, view.class_mask(query.label)
-
-
-def core_offenders(view: ClassView, cmask: int, e: PartialAssignment) -> int:
-    """In-core: the instances of cmask that lack some literal of e."""
-    return cmask & ~view.mask_containing(e)
-
-
-def sceptical_offenders(
-    view: ClassView, cmask: int, x: PartialAssignment, e: PartialAssignment
-) -> int:
-    """Sceptical: the instances of cmask differing from x exactly on e's
-    features (none when e is not part of x)."""
-    return view.mask_residual(x, e) & cmask
-
-
-def strong_offenders(view: ClassView, cmask: int, e: PartialAssignment) -> int:
-    """Strong: the instances of cmask that extend e."""
-    return view.mask_containing(e) & cmask
+# -- membership: one definition over two instance spaces -------------------------
 
 
 def overwrite_flips(
@@ -139,35 +123,69 @@ def overwrite_flips(
     return classifier.classify(substitute(x, e)) != label
 
 
-# -- membership (definitional oracles) ------------------------------------------
+def nothing_closer(
+    query: Query, e: PartialAssignment, distance: DistanceMeasure
+) -> bool:
+    """No other-class instance lies strictly closer to x than x overwritten
+    by e.  Every flip's counterfactual is such an instance, so for a flip e
+    this is distance-minimality.  It measures every other-class instance, so
+    it serves generic distances; hamming is asked of the space."""
+    space = query.space
+    x = query.instance
+    mine = distance(substitute(x, e), x)
+    return all(
+        distance(instance_of_rank(query.theory, rank), x) >= mine
+        for rank in ranks_in(space.view.full_mask & ~space.cmask)
+    )
 
 
-def is_member(kind: str, query: Query, e: PartialAssignment) -> bool:
-    """Definitional membership: the quantifier itself, not a shortcut.
+def membership(
+    kind: str,
+    space,
+    query: Query,
+    e: PartialAssignment,
+    distance: Optional[DistanceMeasure] = None,
+    tau: float = math.inf,
+) -> bool:
+    """Is e an explanation of the given kind for the query?
 
-    Every universally quantified condition is evaluated over the full
-    instance space via the classifier's truth-table masks; cSuf needs one
-    classification and builds no view.
+    ``space`` is x's class as a MaskSpace or a sat.SatSpace; ``distance``
+    (None: hamming) and ``tau`` matter to distMin and distCap only.  The
+    derived kinds select among the flips, the cSuf members.
     """
-    if e.theory != query.theory:
+    if kind not in KINDS:
+        raise ValueError(f"unknown explainer kind {kind!r}")
+    if e.theory is not query.theory and e.theory != query.theory:
         raise ValueError("explanation belongs to a different theory")
     x = query.instance
     if kind == "gNec":
-        return not e.is_empty and not core_offenders(*class_context(query), e)
+        return not e.is_empty and not space.lacking(e)
     if kind == "sNec":
-        return e.subset_of(x) and not sceptical_offenders(*class_context(query), x, e)
-    if kind == "gSuf":
-        # rules out the empty e: x itself extends it
-        return not strong_offenders(*class_context(query), e)
+        return e.subset_of(x) and not space.variant(x, e)
+    if kind == "gSuf":  # x itself extends the empty e
+        return not space.extending(e)
     if kind == "sSuf":
-        return e.disjoint_from(x) and not strong_offenders(*class_context(query), e)
-    if kind == "cSuf":
-        return (
-            not e.is_empty
-            and e.disjoint_from(x)
-            and overwrite_flips(query.classifier, x, query.label, e)
-        )
-    raise ValueError(f"unknown explainer kind {kind!r}")
+        return e.disjoint_from(x) and not space.extending(e)
+    if not (e.disjoint_from(x) and overwrite_flips(query.classifier, x, query.label, e)):
+        return False
+    if kind == "featMin":
+        return not space.smaller_flip(x, e)
+    if kind == "cardMin" or (kind == "distMin" and distance in (None, hamming)):
+        return not space.within(x, e.size - 1)  # a flip's hamming distance is its size
+    if kind == "distMin":
+        return nothing_closer(query, e, distance)
+    if kind == "distCap":
+        return (distance or hamming)(substitute(x, e), x) < tau
+    return True  # cSuf
+
+
+def is_member(kind: str, query: Query, e: PartialAssignment) -> bool:
+    """Membership of the five core kinds, decided on the classifier's truth
+    table (capped like every listing; ``sat.decide_exp`` is the oracle route
+    for formulas)."""
+    if kind not in CORE_KINDS:
+        raise ValueError(f"unknown explainer kind {kind!r}")
+    return membership(kind, query.space, query, e)
 
 
 # -- generation ------------------------------------------------------------------
@@ -185,34 +203,34 @@ def g_nec(query: Query, cap: Optional[int] = None) -> ExplanationSet:
 
 def s_nec(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     """Parts of x whose every exact-change variant leaves x's class."""
-    view, cmask = class_context(query)
+    space = query.space
     x = query.instance
     candidates = (
         e
         for e in subsets_of(x, min_size=1)
-        if not sceptical_offenders(view, cmask, x, e)
+        if not space.variant(x, e)
     )
     return collect("sNec", candidates, cap)
 
 
 def g_suf(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     """Assignments none of whose extensions keeps x's class."""
-    view, cmask = class_context(query)
+    space = query.space
     candidates = (
         e
         for e in enumerate_partial_assignments(query.theory)
-        if not e.is_empty and not strong_offenders(view, cmask, e)
+        if not e.is_empty and not space.extending(e)
     )
     return collect("gSuf", candidates, cap)
 
 
 def s_suf(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     """gSuf explanations sharing no literal with x."""
-    view, cmask = class_context(query)
+    space = query.space
     candidates = (
         e
         for e in novel_assignments(query.instance, min_size=1)
-        if not strong_offenders(view, cmask, e)
+        if not space.extending(e)
     )
     return collect("sSuf", candidates, cap)
 

@@ -3,10 +3,9 @@
 For all-boolean theories with formula classifiers, explanation decision and
 search reduce to a handful of satisfiability calls instead of enumeration:
 
-* decide — membership tests that evaluate the defining condition with at
-  most one oracle call (necessity via per-literal core checks, sufficiency
-  via one UNSAT check on "same class AND the candidate", flips by direct
-  evaluation);
+* decide — ``explain.membership`` on a ``SatSpace``: each kind's condition
+  is one existence question, settled by one oracle call or by evaluation
+  (weighted distMin alone reads the truth table);
 * find — produce one explanation or report none, within tight call budgets:
   0 calls for sSuf (test the all-flipped instance), 1 for cSuf/gSuf/sNec
   (one opposite-class model), at most n for gNec (scan x's literals);
@@ -32,6 +31,7 @@ from __future__ import annotations
 import math
 import subprocess
 import tempfile
+from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,15 +43,9 @@ from .classifier import (
     feature_vars,
     ranks_in,
 )
-from .derived import DERIVED_KINDS, DistanceMeasure, hamming, nothing_closer
-from .explain import class_context, is_member
+from .explain import DistanceMeasure, membership
 from .formulas import Clause, Formula, Not, tseitin, to_dimacs
-from .theory import (
-    PartialAssignment,
-    Theory,
-    instance_of_rank,
-    substitute,
-)
+from .theory import PartialAssignment, Theory, hamming, instance_of_rank
 
 
 class NotBoolean(ValueError):
@@ -354,15 +348,6 @@ def _class_instance(
     return y
 
 
-def _opposite_within(query: Query, k: int, oracle: SatOracle) -> Optional[PartialAssignment]:
-    """An instance of the other class within Hamming distance k of x, or None."""
-    classifier = query.classifier
-    _, _, n_vars = classifier.encoding
-    counter, next_free = at_most_k(_difference_literals(query.instance), k, n_vars + 1)
-    other = -classifier.class_literal(query.label)
-    return _class_model(classifier, other, oracle, counter, next_free - 1)
-
-
 # -- boolean helpers -------------------------------------------------------------
 
 
@@ -382,9 +367,9 @@ def flip_within(x: PartialAssignment, positions) -> PartialAssignment:
     return PartialAssignment(x.theory, tuple(values))
 
 
-def _unit_for(position: int, value: int) -> Clause:
-    var = position + 1
-    return (var,) if value == 1 else (-var,)
+def _literal(position: int, value: int) -> int:
+    """The encoding's literal that holds where the feature takes the value."""
+    return position + 1 if value == 1 else -(position + 1)
 
 
 def _in_core(
@@ -392,30 +377,58 @@ def _in_core(
 ) -> bool:
     """In-core by one oracle call: no instance where the class literal holds
     gives feature i another value than v."""
-    return _class_model(classifier, literal, oracle, [_unit_for(i, 1 - v)]) is None
+    return _class_model(classifier, literal, oracle, [(_literal(i, 1 - v),)]) is None
 
 
 def _difference_literals(x: PartialAssignment) -> list[int]:
     """Literals true exactly when a model disagrees with x on that feature."""
-    return [
-        -(i + 1) if v == 1 else (i + 1) for i, v in enumerate(x.values)
-    ]
+    return [-_literal(i, v) for i, v in enumerate(x.values)]
 
 
 # -- decide ----------------------------------------------------------------------
 
 
-def _flip_changes_class(query: Query, positions) -> bool:
-    y = flip_within(query.instance, positions)
-    return query.classifier.classify(y) != query.label
+Witness = Optional[PartialAssignment]
 
 
-def _subsets_ascending(positions: tuple[int, ...], proper: bool):
-    from itertools import combinations
+class SatSpace:
+    """The instance space of one class of a formula classifier: each
+    question is one oracle call on the cached encoding (``variant`` one
+    evaluation), answered with one witness instance or None."""
 
-    top = len(positions) - (1 if proper else 0)
-    for size in range(1, top + 1):
-        yield from combinations(positions, size)
+    def __init__(self, classifier: FormulaClassifier, label: str, oracle: SatOracle):
+        self.classifier, self.label, self.oracle = classifier, label, oracle
+        self.own = classifier.class_literal(label)
+
+    def lacking(self, e: PartialAssignment) -> Witness:
+        """An instance of the class that lacks some literal of e."""
+        some = tuple(-_literal(i, v) for i, v in e.indexed_literals())
+        return _class_model(self.classifier, self.own, self.oracle, [some])
+
+    def extending(self, e: PartialAssignment) -> Witness:
+        """An instance of the class that extends e."""
+        units = [(_literal(i, v),) for i, v in e.indexed_literals()]
+        return _class_model(self.classifier, self.own, self.oracle, units)
+
+    def variant(self, x: PartialAssignment, e: PartialAssignment) -> Witness:
+        """x with e's features flipped, for e part of x, if that keeps the
+        class: the one instance differing from x exactly there."""
+        y = flip_within(x, e.feature_positions())
+        return y if self.classifier.classify(y) == self.label else None
+
+    def smaller_flip(self, x: PartialAssignment, e: PartialAssignment) -> Witness:
+        """An instance of the other class equal to x outside Feat(e) and on
+        at least one feature of Feat(e), for e sharing no literal with x."""
+        units = [(_literal(i, v),) for i, v in enumerate(x.values) if e.values[i] is None]
+        some = tuple(_literal(i, x.values[i]) for i in e.feature_positions())
+        return _class_model(self.classifier, -self.own, self.oracle, [*units, some])
+
+    def within(self, x: PartialAssignment, k: int) -> Witness:
+        """An instance of the other class differing from x on at most k
+        features, by a sequential counter over the difference literals."""
+        _, _, n_vars = self.classifier.encoding
+        counter, next_free = at_most_k(_difference_literals(x), k, n_vars + 1)
+        return _class_model(self.classifier, -self.own, self.oracle, counter, next_free - 1)
 
 
 def decide_exp(
@@ -426,65 +439,25 @@ def decide_exp(
     distance: Optional[DistanceMeasure] = None,
     tau: float = math.inf,
 ) -> bool:
-    """Membership test with the oracle-bounded procedures.
-
-    Matches the enumeration oracle exactly; boolean theories with formula
-    classifiers only (others raise NotBoolean).
-    """
+    """Membership by ``explain.membership`` on a SatSpace: at most one
+    oracle call for every kind.  Formula classifiers only (others raise
+    NotBoolean)."""
     classifier = _require_formula(query.classifier)
     oracle = oracle if oracle is not None else SatOracle()
-    x = query.instance
-    own = classifier.class_literal(query.label)
-
-    if kind == "cSuf":
-        return is_member("cSuf", query, e)
-
-    if kind == "sNec":
-        # x ⊖ E is the single instance with E's features flipped
-        if e.is_empty or not e.subset_of(x):
-            return False
-        return _flip_changes_class(query, e.feature_positions())
-
-    if kind == "gNec":
-        # every literal of E must appear in all instances of x's class
-        if e.is_empty:
-            return False
-        return all(_in_core(classifier, own, i, v, oracle) for i, v in e.indexed_literals())
-
-    if kind in ("gSuf", "sSuf"):
-        if kind == "sSuf" and not e.disjoint_from(x):
-            return False
-        if e.is_empty:
-            return False  # x itself extends the empty assignment
-        units = [_unit_for(i, v) for i, v in e.indexed_literals()]
-        return _class_model(classifier, own, oracle, units) is None
-
-    if kind not in DERIVED_KINDS:
-        raise ValueError(f"unknown explainer kind {kind!r}")
-    if not is_member("cSuf", query, e):
-        return False
-
-    if kind == "featMin":
-        # no proper feature subset also flips (boolean flips are unique per
-        # feature set, so the subset scan is direct evaluation)
-        positions = e.feature_positions()
-        return not any(
-            _flip_changes_class(query, subset)
-            for subset in _subsets_ascending(positions, proper=True)
-        )
-
-    if kind == "cardMin" or (kind == "distMin" and distance in (None, hamming)):
-        k = e.size - 1  # no opposite-class instance is closer than e's flip
-        return k <= 0 or _opposite_within(query, k, oracle) is None
-
-    if kind == "distMin":
-        return nothing_closer(query, e, distance)
-
-    d = distance if distance is not None else hamming
-    return d(substitute(x, e), x) < tau  # distCap
+    return membership(kind, SatSpace(classifier, query.label, oracle), query, e, distance, tau)
 
 
 # -- find ------------------------------------------------------------------------
+
+
+def _flip_changes_class(query: Query, positions) -> bool:
+    y = flip_within(query.instance, positions)
+    return query.classifier.classify(y) != query.label
+
+
+def _subsets_ascending(positions: tuple[int, ...]):
+    for size in range(1, len(positions) + 1):
+        yield from combinations(positions, size)
 
 
 def find_exp(
@@ -541,7 +514,7 @@ def find_exp(
                 positions = rest
         # the first flipping subset in ascending size order is subset-minimal;
         # the scan always hits at worst the full (still flipping) set
-        for subset in _subsets_ascending(tuple(positions), proper=False):
+        for subset in _subsets_ascending(tuple(positions)):
             if _flip_changes_class(query, subset):
                 return flip_within(x, subset).difference(x)
         raise AssertionError("greedy shrink lost the flip")  # pragma: no cover
@@ -571,8 +544,9 @@ def find_exp(
 
 def _smallest_flip(query: Query, top: int, oracle: SatOracle) -> Optional[PartialAssignment]:
     """Iterative deepening on flip size up to `top`; one oracle call per size tried."""
+    space = SatSpace(query.classifier, query.label, oracle)
     for k in range(1, top + 1):
-        y = _opposite_within(query, k, oracle)
+        y = space.within(query.instance, k)
         if y is not None:
             return y.difference(query.instance)
     return None
@@ -582,7 +556,7 @@ def _closest_flip(
     query: Query, distance: DistanceMeasure, tau: float
 ) -> Optional[PartialAssignment]:
     """Enumerate opposite-class instances, keep the closest one under tau."""
-    view, cmask = class_context(query)
+    view, cmask = query.space.view, query.space.cmask
     x = query.instance
     best: Optional[PartialAssignment] = None
     best_d = math.inf

@@ -335,28 +335,22 @@ def substitute(x: PartialAssignment, e: PartialAssignment) -> PartialAssignment:
     )
 
 
-def disjoint_assignments(
-    theory: Theory, e: PartialAssignment, min_size: int = 0
-) -> Iterator[PartialAssignment]:
-    """All partial assignments sharing no literal with e (canonical order).
-
-    A feature of e may still occur, but only with one of its other values.
-    """
-    if e.theory is not theory and e.theory != theory:
-        raise TheoryMismatch("assignment belongs to a different theory")
-    allowed = [
-        [v for v in range(len(theory.domains[i])) if v != e.values[i]]
-        for i in range(theory.n_features)
-    ]
-    return _assignments_by_size(theory, allowed, min_size=min_size)
+def hamming(x: PartialAssignment, y: PartialAssignment) -> float:
+    """Number of features on which the two instances differ."""
+    return float(sum(1 for a, b in zip(x.values, y.values) if a != b))
 
 
 def novel_assignments(
     x: PartialAssignment, min_size: int = 0
 ) -> Iterator[PartialAssignment]:
-    """Assignments disjoint from instance x, i.e. using only new values."""
+    """The assignments sharing no literal with the instance x, i.e. using
+    only values other than x's (canonical order)."""
     as_instance(x)
-    return disjoint_assignments(x.theory, x, min_size=min_size)
+    allowed = [
+        [v for v in range(len(domain)) if v != xv]
+        for domain, xv in zip(x.theory.domains, x.values)
+    ]
+    return _assignments_by_size(x.theory, allowed, min_size=min_size)
 
 
 def subsets_of(

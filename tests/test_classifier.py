@@ -169,6 +169,43 @@ def test_table_csv_rejects_ragged_rows(row, line, fields):
     assert str(exc.value) == f"CSV line {line} has {fields} field(s); the header has 3"
 
 
+def test_table_csv_line_endings_and_quoted_cells(tmp_path):
+    """CRLF text parses as LF text, and a CR-only file parses once read as a
+    file (universal newlines, as the command line reads it).  A quoted cell
+    may hold a newline, and the breaks other than "\\n" and "\\r" that
+    str.splitlines splits at stay inside their cell."""
+    theory = validate_theory({
+        "features": [{"name": "f1", "domain": ["0", "1"]},
+                     {"name": "f2", "domain": ["x\x0by", "p\u2028q", "a\nb", "u\x0c\x1cv"]}],
+        "classes": ["c0", "c1"],
+    })
+    rows = ["f1,f2,class", '0,x\x0by,c0', '0,"p\u2028q",c1', '0,"a\nb",c0', "0,u\x0c\x1cv,c1",
+            '1,"x\x0by",c1', "1,p\u2028q,c0", '1,"a\nb",c1', '1,"u\x0c\x1cv",c0']
+    want = TableClassifier(theory, ["c0", "c1", "c0", "c1", "c1", "c0", "c1", "c0"])
+    for end in ("\n", "\r\n"):
+        assert TableClassifier.from_csv(end.join(rows) + end, theory) == want
+    path = tmp_path / "cr.csv"
+    path.write_bytes(("\r".join(rows) + "\r").encode("utf-8"))
+    assert TableClassifier.from_csv(path.read_text(encoding="utf-8"), theory) == want
+
+
+@pytest.mark.parametrize("window", [1, 2, 5, 1 << 16])
+def test_csv_lines_split_at_newlines_only(window):
+    text = "a,b\r\n\nc\x0bd\u2028e\r\n\"f\ng\",h\ni"
+    assert list(classifier_module._lines(text, window)) == [
+        "a,b\r\n", "\n", "c\x0bd\u2028e\r\n", '"f\n', 'g",h\n', "i"
+    ]
+
+
+def test_table_csv_counts_lines_past_the_buffer_window():
+    theory = make_theory([3] * 8)
+    text = table_to_csv(TableClassifier(theory, ["c0", "c1"] * 3280 + ["c0"]))
+    assert len(text) > 1 << 16
+    with pytest.raises(ClassifierError) as exc:
+        TableClassifier.from_csv(text + "0,1\n", theory)
+    assert str(exc.value) == "CSV line 6563 has 2 field(s); the header has 9"
+
+
 def test_table_csv_ingest_builds_no_assignment_per_row(monkeypatch):
     theory = make_theory([3] * 7, n_classes=3)
     n = theory.instance_count()

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from cfexplain import (
+    CORE_KINDS,
+    DERIVED_KINDS,
     PartialAssignment,
     Query,
     complement_instance,
@@ -651,6 +653,36 @@ def test_decide_runs_past_the_view_cap(capsys, wide_cnf_files):
     assert payload["oracle_calls"] <= 1
     e = PartialAssignment.from_dict(q.theory, flipped)
     assert payload["member"] == (q.classifier.classify(e) != q.label)
+
+
+def test_decide_takes_at_most_one_call_per_kind_at_64_features(capsys, tmp_path):
+    """Every kind is decided with at most one oracle call on a planted 3-CNF
+    over 64 features, on find cSuf's flip, on x's complement and on one
+    literal of x."""
+    rng = random.Random(64)
+    paths = boolean_files(tmp_path, 64, planted_cnf(rng, 64, 128), rng)
+    flip = run_json(capsys, "find", *wide_flags(paths), "--kind", "cSuf")["explanation"]
+    x = wide_query(paths).instance.to_dict()
+    complement = {f: str(1 - int(v)) for f, v in x.items()}
+    literal = dict([next(iter(x.items()))])
+    for e in (flip, complement, literal):
+        for kind in CORE_KINDS + DERIVED_KINDS:
+            payload = run_json(
+                capsys, "decide", *wide_flags(paths), "--kind", kind,
+                "--explanation", json.dumps(e), "--count-oracle-calls",
+            )
+            assert payload["oracle_calls"] <= 1, (kind, e)
+            if kind == "cSuf" and e is flip:
+                assert payload["member"]
+
+
+def test_decide_accepts_the_featmin_that_find_returns(capsys, wide_cnf_files):
+    found = run_json(capsys, "find", *wide_flags(wide_cnf_files), "--kind", "featMin")
+    payload = run_json(
+        capsys, "decide", *wide_flags(wide_cnf_files), "--kind", "featMin",
+        "--explanation", json.dumps(found["explanation"]), "--count-oracle-calls",
+    )
+    assert payload["member"] and payload["oracle_calls"] <= 1
 
 
 @pytest.mark.parametrize(

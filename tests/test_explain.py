@@ -1,25 +1,40 @@
-"""The five explainer families against worked-example goldens and their definitions."""
+"""The five explainer families against worked-example goldens and their
+definitions, and all nine memberships against the reference checker."""
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfexplain import (
     CORE_KINDS,
+    DERIVED_KINDS,
     PartialAssignment,
     Query,
     c_suf,
+    decide_exp,
     explanation_set_from_json,
     feat_min,
     g_nec,
     generate,
     g_suf,
+    is_derived_member,
     is_member,
     load_bundle,
     s_nec,
     s_suf,
 )
 
-from helpers import exhaustive_members, table_queries
+from helpers import (
+    exhaustive_members,
+    load_reference,
+    multiclass_table_queries,
+    random_assignment,
+    random_boolean_query,
+    random_novel,
+    random_subset_of,
+    reference_oracle,
+    table_queries,
+)
 
 EXPLAIN = {"gNec": g_nec, "sNec": s_nec, "gSuf": g_suf, "sSuf": s_suf, "cSuf": c_suf}
 
@@ -209,3 +224,49 @@ def test_family_inclusions(query):
     assert ssuf <= result("gSuf", query)
     assert ssuf <= result("cSuf", query)
     assert result("cSuf", query)  # success: never empty
+
+
+# -- every membership against the reference checker ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return load_reference()
+
+
+def membership_candidates(rng, q, oracle):
+    """Up to two reference members of each kind, then the empty assignment,
+    x, a part of x, two novel assignments and two arbitrary ones."""
+    theory, x = q.theory, q.instance
+    listed = [oracle.listing(kind, 2)[0] for kind in CORE_KINDS + DERIVED_KINDS]
+    return [
+        *(PartialAssignment(theory, values) for members in listed for values in members),
+        PartialAssignment.empty(theory),
+        x,
+        random_subset_of(rng, x),
+        random_novel(rng, x),
+        random_novel(rng, x),
+        random_assignment(rng, theory),
+        random_assignment(rng, theory),
+    ]
+
+
+@given(multiclass_table_queries(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_all_nine_memberships_match_the_reference(reference, table_query, rng):
+    """is_member, is_derived_member and, on formulas, decide_exp agree with
+    bench/reference.py's Oracle.member for every kind (hamming distMin,
+    distCap at tau = inf), on a random table and a random boolean formula of
+    at most 10 features."""
+    formula_query = random_boolean_query(rng, rng.randint(2, 10))
+    for q in (table_query, formula_query):
+        oracle = reference_oracle(reference, q)
+        for e in membership_candidates(rng, q, oracle):
+            for kind in CORE_KINDS + DERIVED_KINDS:
+                want = oracle.member(kind, e.values)
+                if kind in CORE_KINDS:
+                    assert is_member(kind, q, e) == want, (kind, e.render())
+                else:
+                    assert is_derived_member(kind, q, e) == want, (kind, e.render())
+                if q is formula_query:
+                    assert decide_exp(kind, q, e) == want, (kind, e.render())

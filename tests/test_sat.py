@@ -282,7 +282,9 @@ def test_decide_exp_matches_enumeration_oracles():
         q = random_boolean_query(rng, rng.randint(2, 4))
         for e in sample_candidates(rng, q):
             for kind in SAT_DECIDE_KINDS:
-                got = decide_exp(kind, q, e)
+                oracle = SatOracle()
+                got = decide_exp(kind, q, e, oracle=oracle)
+                assert oracle.calls <= 1, (kind, oracle.calls)
                 if kind in ("gNec", "sNec", "gSuf", "sSuf", "cSuf"):
                     want = is_member(kind, q, e)
                 else:

@@ -15,7 +15,6 @@ from cfexplain import (
     TheoryError,
     TheoryMismatch,
     TooFewClasses,
-    disjoint_assignments,
     enumerate_instances,
     enumerate_partial_assignments,
     instance_of_rank,
@@ -178,10 +177,10 @@ def test_subsets_and_disjoint_streams():
     assert len(novel) == 9
     assert all(n.disjoint_from(x) for n in novel)
 
-    e = PartialAssignment.from_dict(t, {"t": "hot"})
-    free = list(disjoint_assignments(t, e))
-    assert all(f.disjoint_from(e) for f in free)
-    assert len(free) == 12  # (2+1) * (3+1)
+    assert [n.sort_key() for n in novel] == sorted(n.sort_key() for n in novel)
+    assert list(novel_assignments(x, min_size=1)) == novel[1:]
+    with pytest.raises(TheoryError):
+        novel_assignments(PartialAssignment.from_dict(t, {"t": "hot"}))
 
 
 # -- substitution, residual, ranks ------------------------------------------------
