@@ -679,13 +679,9 @@ def constant_blank(query: Query) -> ExplanationSet:
 
 def old_values(query: Query) -> ExplanationSet:
     """The parts of x overwritten by each differently-classified instance."""
-    view, cmask = query.space.view, query.space.cmask
     x = query.instance
-    found = {
-        x.difference(instance_of_rank(query.theory, rank))
-        for rank in ranks_in(view.full_mask & ~cmask)
-    }
-    ordered = tuple(sorted(found, key=lambda e: e.sort_key()))
+    found = {x.difference(y) for y in query.space.others()}
+    ordered = tuple(sorted(found, key=PartialAssignment.sort_key))
     return ExplanationSet("old-values", ordered)
 
 

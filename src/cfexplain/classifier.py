@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem, itemgetter
@@ -164,10 +165,21 @@ class TableClassifier(Classifier):
         """Parse a CSV with one column per feature plus a 'class' column.
 
         The columns and the rows may come in any order; blank lines are
-        skipped.
+        skipped.  A line ends at "\\n", "\\r\\n" or a lone "\\r"; other CSV
+        faults raise ClassifierError.
         """
+        if text.count("\r") != text.count("\r\n"):
+            text = re.sub("\r(?!\n)", "\n", text)
         reader = csv.reader(_lines(text))
-        header = next(reader, None)
+
+        def records() -> Iterator[list[str]]:
+            try:
+                yield from reader
+            except csv.Error as exc:
+                raise ClassifierError(f"CSV line {reader.line_num}: {exc}") from None
+
+        rows = records()
+        header = next(rows, None)
         if header is None:
             raise ClassifierError("empty classifier CSV")
         repeated = sorted({c for c in header if header.count(c) > 1})
@@ -185,7 +197,7 @@ class TableClassifier(Classifier):
         width = len(header)
 
         def cells() -> Iterator[tuple[str, ...]]:
-            for row in reader:
+            for row in rows:
                 if len(row) != width:
                     if not row:
                         continue
@@ -483,7 +495,10 @@ def class_view(classifier: Classifier) -> ClassView:
 # when the condition holds: ``MaskSpace`` with a mask over instance ranks, and
 # ``sat.SatSpace`` with one oracle call and a witness instance or None.  Every
 # membership test, every axiom check and the sNec, gSuf and sSuf listings ask
-# a space, and no membership test re-derives them.
+# a space, and no membership test re-derives them.  ``MaskSpace`` also walks
+# the other-class instances: as flips of x, layer by Hamming layer (the cSuf,
+# featMin, cardMin and hamming distMin listings), and in rank order (weighted
+# distMin, the old-values witness).
 
 
 class MaskSpace:
@@ -524,6 +539,36 @@ class MaskSpace:
         for layer in self.view.distance_layers(x)[: k + 1]:
             near |= layer
         return near & ~self.cmask
+
+    def others(self) -> Iterator[PartialAssignment]:
+        """The instances of the other classes, in rank order."""
+        theory = self.view.theory
+        return (instance_of_rank(theory, r) for r in ranks_in(self.view.full_mask & ~self.cmask))
+
+    def closest(self, x: PartialAssignment, distance) -> PartialAssignment:
+        """The instance of another class nearest to x under the distance,
+        the first in rank order on a tie."""
+        return min(self.others(), key=lambda y: distance(y, x))
+
+    def flips(self, x: PartialAssignment) -> Iterator[list[PartialAssignment]]:
+        """x's flips, the cSuf members, by size k = 1..n, each size's in
+        canonical order: the instances of another class that differ from x
+        on k features, each as the values x does not share."""
+        other = ~self.cmask
+        for layer in self.view.distance_layers(x)[1:]:
+            flips = [self.flip_of_rank(x, r) for r in ranks_in(layer & other)]
+            yield sorted(flips, key=PartialAssignment.sort_key)
+
+    @staticmethod
+    def flip_of_rank(x: PartialAssignment, rank: int) -> PartialAssignment:
+        """The instance of that rank as a flip of x: its value where it
+        differs from x, None elsewhere, read off the rank's digits."""
+        theory = x.theory
+        values = []
+        for stride, domain, xv in zip(theory.strides, theory.domains, x.values):
+            v = rank // stride % len(domain)
+            values.append(None if v == xv else v)
+        return PartialAssignment(theory, tuple(values))
 
 
 # -- operations ----------------------------------------------------------------

@@ -16,12 +16,13 @@ away before comparison: such literals are inert under overwriting, so each
 family is computed over genuinely novel assignments and its outputs are
 always credulous sufficient reasons.
 
-A flip changes every feature it names, so its hamming distance is its size.
-cardMin and hamming distMin are therefore listed from the truth table's
-Hamming-distance layers around x (``ClassView.distance_layers``): the
-nearest layer holding an other-class instance gives the minimum size and the
-members.  featMin, distCap and weighted distMin select from the flips.
-Membership of all four is ``explain.membership``.
+The flips are read off the truth table's Hamming-distance layers around x
+(``MaskSpace.flips``): layer k holds the other-class instances that differ
+from x on k features, and so the flips of size k.  A flip changes every
+feature it names, so its hamming distance is its size, and cardMin and
+hamming distMin are the nearest nonempty layer.  featMin keeps the flips
+with no smaller flip (``MaskSpace.smaller_flip``); distCap and weighted
+distMin measure each flip.  Membership of all four is ``explain.membership``.
 
 Each family is also the set of maximal elements of a "faithful" ranking — a
 preorder that strictly prefers every flip to every non-flip.  The weightings
@@ -33,14 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from itertools import chain
+from typing import Callable, Iterator, Mapping, Optional
 
-from .classifier import Query, ranks_in
+from .classifier import Query
 from .explain import (
     DERIVED_KINDS,
     DistanceMeasure,
     ExplanationSet,
-    c_suf,
     collect,
     is_member,
     membership,
@@ -49,7 +50,6 @@ from .theory import (
     PartialAssignment,
     enumerate_partial_assignments,
     hamming,
-    instance_of_rank,
     substitute,
 )
 
@@ -102,40 +102,34 @@ def weighted_distance(weights: Mapping[str, float], theory) -> DistanceMeasure:
 # -- flip selection --------------------------------------------------------------
 
 
-def _flips(query: Query) -> tuple[PartialAssignment, ...]:
-    return c_suf(query).explanations
+def _flips(query: Query) -> Iterator[PartialAssignment]:
+    """The flips in canonical order, one Hamming layer at a time."""
+    return chain.from_iterable(query.space.flips(query.instance))
+
+
+def _smallest_flips(query: Query) -> list[PartialAssignment]:
+    """The nearest nonempty layer; the classifier is surjective, so one is."""
+    return next(layer for layer in query.space.flips(query.instance) if layer)
 
 
 def feat_min(query: Query, cap: Optional[int] = None) -> ExplanationSet:
-    """Flips none of whose feature sets strictly contains another flip's."""
-    flips = _flips(query)
-    feature_sets = {e: frozenset(e.feature_positions()) for e in flips}
-    distinct = set(feature_sets.values())
-    minimal = {
-        s for s in distinct if not any(t < s for t in distinct)
-    }
-    chosen = [e for e in flips if feature_sets[e] in minimal]
-    return collect("featMin", chosen, cap)
+    """Flips with no smaller flip: none changes a proper subset of their
+    features.  That depends on the feature set alone, asked once per set."""
+    space, x = query.space, query.instance
+    minimal: dict[tuple[int, ...], bool] = {}
 
+    def is_minimal(e: PartialAssignment) -> bool:
+        features = e.feature_positions()
+        if features not in minimal:
+            minimal[features] = not space.smaller_flip(x, e)
+        return minimal[features]
 
-def _nearest_flips(query: Query, kind: str, cap: Optional[int]) -> ExplanationSet:
-    """The flips of minimum size: for each other-class instance y in the
-    nearest Hamming layer around x that holds one, the part of y that x does
-    not share.  The classifier is surjective, so some layer past x's own does."""
-    view, cmask = query.space.view, query.space.cmask
-    x = query.instance
-    other = view.full_mask & ~cmask
-    nearest = next(layer & other for layer in view.distance_layers(x) if layer & other)
-    flips = [
-        instance_of_rank(query.theory, r).difference(x)
-        for r in ranks_in(nearest)
-    ]
-    return collect(kind, sorted(flips, key=PartialAssignment.sort_key), cap)
+    return collect("featMin", filter(is_minimal, _flips(query)), cap)
 
 
 def card_min(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     """Flips of minimum cardinality."""
-    return _nearest_flips(query, "cardMin", cap)
+    return collect("cardMin", _smallest_flips(query), cap)
 
 
 def dist_min(
@@ -144,10 +138,9 @@ def dist_min(
     """Flips whose counterfactual sits closest to x; ties all returned.
     Under hamming a flip's distance is its size, so these are cardMin's."""
     if distance is hamming:
-        return _nearest_flips(query, "distMin", cap)
+        return collect("distMin", _smallest_flips(query), cap)
     x = query.instance
-    flips = _flips(query)
-    scored = [(distance(substitute(x, e), x), e) for e in flips]
+    scored = [(distance(substitute(x, e), x), e) for e in _flips(query)]
     best = min(d for d, _ in scored)
     return collect("distMin", [e for d, e in scored if d == best], cap)
 
@@ -162,7 +155,7 @@ def dist_cap(
     if tau < 0:
         raise DistanceError("threshold must be >= 0")
     x = query.instance
-    chosen = [e for e in _flips(query) if distance(substitute(x, e), x) < tau]
+    chosen = (e for e in _flips(query) if distance(substitute(x, e), x) < tau)
     return collect("distCap", chosen, cap)
 
 
@@ -263,25 +256,16 @@ def _check_preorder(ranking: Ranking, candidates: list[PartialAssignment]) -> No
 
 
 def faithful_max(
-    query: Query,
-    ranking: Ranking,
-    limit: Optional[int] = None,
-    check_preorder: bool = False,
+    query: Query, ranking: Ranking, *, check_preorder: bool = False
 ) -> ExplanationSet:
     """Maximal assignments under the ranking: nothing strictly beats them.
 
-    Enumerates the whole assignment space (optionally capped at ``limit``
-    candidates) and keeps the undominated ones by pairwise comparison.  With
-    ``check_preorder`` the ranking is first verified reflexive and transitive
-    over the enumerated candidates — quadratic/cubic, desk scale only.
+    Enumerates the whole assignment space and keeps the undominated ones by
+    pairwise comparison.  With ``check_preorder`` the ranking is first
+    verified reflexive and transitive over the enumerated candidates —
+    quadratic/cubic, desk scale only.
     """
-    candidates: list[PartialAssignment] = []
-    truncated = False
-    for e in enumerate_partial_assignments(query.theory):
-        if limit and len(candidates) >= limit:
-            truncated = True
-            break
-        candidates.append(e)
+    candidates = list(enumerate_partial_assignments(query.theory))
     if check_preorder:
         _check_preorder(ranking, candidates)
     maximal = tuple(
@@ -289,7 +273,7 @@ def faithful_max(
         for e in candidates
         if not any(ranking.strictly_better(other, e) for other in candidates)
     )
-    return ExplanationSet("max", maximal, truncated)
+    return ExplanationSet("max", maximal)
 
 
 @dataclass(frozen=True)

@@ -27,21 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .classifier import (
-    Classifier,
-    Query,
-    core_literals,
-    enumerable_count,
-    ranks_in,
-)
+from .classifier import Classifier, Query, core_literals
 from .theory import (
     PartialAssignment,
     enumerate_partial_assignments,
     hamming,
-    instance_of_rank,
     novel_assignments,
     subsets_of,
     substitute,
@@ -123,35 +116,20 @@ def overwrite_flips(
     return classifier.classify(substitute(x, e)) != label
 
 
-def nothing_closer(
-    query: Query, e: PartialAssignment, distance: DistanceMeasure
-) -> bool:
-    """No other-class instance lies strictly closer to x than x overwritten
-    by e.  Every flip's counterfactual is such an instance, so for a flip e
-    this is distance-minimality.  It measures every other-class instance, so
-    it serves generic distances; hamming is asked of the space."""
-    space = query.space
-    x = query.instance
-    mine = distance(substitute(x, e), x)
-    return all(
-        distance(instance_of_rank(query.theory, rank), x) >= mine
-        for rank in ranks_in(space.view.full_mask & ~space.cmask)
-    )
-
-
 def membership(
     kind: str,
     space,
     query: Query,
     e: PartialAssignment,
-    distance: Optional[DistanceMeasure] = None,
+    distance: DistanceMeasure = hamming,
     tau: float = math.inf,
 ) -> bool:
     """Is e an explanation of the given kind for the query?
 
     ``space`` is x's class as a MaskSpace or a sat.SatSpace; ``distance``
-    (None: hamming) and ``tau`` matter to distMin and distCap only.  The
-    derived kinds select among the flips, the cSuf members.
+    and ``tau`` matter to distMin and distCap only.  The derived kinds
+    select among the flips, the cSuf members.  A weighted distMin measures
+    the nearest other-class instance on the truth table (``query.space``).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown explainer kind {kind!r}")
@@ -170,12 +148,12 @@ def membership(
         return False
     if kind == "featMin":
         return not space.smaller_flip(x, e)
-    if kind == "cardMin" or (kind == "distMin" and distance in (None, hamming)):
+    if kind == "cardMin" or (kind == "distMin" and distance is hamming):
         return not space.within(x, e.size - 1)  # a flip's hamming distance is its size
     if kind == "distMin":
-        return nothing_closer(query, e, distance)
+        return distance(substitute(x, e), x) <= distance(query.space.closest(x, distance), x)
     if kind == "distCap":
-        return (distance or hamming)(substitute(x, e), x) < tau
+        return distance(substitute(x, e), x) < tau
     return True  # cSuf
 
 
@@ -238,20 +216,13 @@ def s_suf(query: Query, cap: Optional[int] = None) -> ExplanationSet:
 def c_suf(query: Query, cap: Optional[int] = None) -> ExplanationSet:
     """Novel assignments whose overwrite changes the class.
 
-    Equal to { y \\ x : y an instance with a different class } — computed in
-    the overwrite form, which is duplicate-free and already canonically
-    ordered.  Never empty: the classifier is surjective, so some instance has
-    another class, and its difference from x qualifies.  Builds no view, but
-    keeps the view's cap on the instance space.
+    Equal to { y \\ x : y an instance with a different class }, so they are
+    read off the truth table's Hamming layers around x, layer k holding the
+    flips of size k (``MaskSpace.flips``); nothing is classified.  Never
+    empty: the classifier is surjective, so some instance has another class,
+    and its difference from x qualifies.
     """
-    enumerable_count(query.theory)
-    x, label = query.instance, query.label
-    candidates = (
-        e
-        for e in novel_assignments(x, min_size=1)
-        if overwrite_flips(query.classifier, x, label, e)
-    )
-    return collect("cSuf", candidates, cap)
+    return collect("cSuf", chain.from_iterable(query.space.flips(query.instance)), cap)
 
 
 _GENERATORS = {

@@ -33,7 +33,7 @@ import subprocess
 import tempfile
 from itertools import combinations
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .classifier import (
     Classifier,
@@ -41,11 +41,10 @@ from .classifier import (
     Query,
     UnknownClass,
     feature_vars,
-    ranks_in,
 )
 from .explain import DistanceMeasure, membership
 from .formulas import Clause, Formula, Not, tseitin, to_dimacs
-from .theory import PartialAssignment, Theory, hamming, instance_of_rank
+from .theory import PartialAssignment, Theory, hamming
 
 
 class NotBoolean(ValueError):
@@ -372,12 +371,11 @@ def _literal(position: int, value: int) -> int:
     return position + 1 if value == 1 else -(position + 1)
 
 
-def _in_core(
-    classifier: FormulaClassifier, literal: int, i: int, v: int, oracle: SatOracle
-) -> bool:
-    """In-core by one oracle call: no instance where the class literal holds
-    gives feature i another value than v."""
-    return _class_model(classifier, literal, oracle, [(_literal(i, 1 - v),)]) is None
+def _single_literals(x: PartialAssignment) -> Iterator[PartialAssignment]:
+    """The literals of the instance x, each alone, in feature order."""
+    blank = (None,) * x.theory.n_features
+    for i, v in enumerate(x.values):
+        yield PartialAssignment(x.theory, blank[:i] + (v,) + blank[i + 1 :])
 
 
 def _difference_literals(x: PartialAssignment) -> list[int]:
@@ -401,7 +399,8 @@ class SatSpace:
         self.own = classifier.class_literal(label)
 
     def lacking(self, e: PartialAssignment) -> Witness:
-        """An instance of the class that lacks some literal of e."""
+        """An instance of the class that lacks some literal of e; for a
+        single literal, None says that the literal is in the class core."""
         some = tuple(-_literal(i, v) for i, v in e.indexed_literals())
         return _class_model(self.classifier, self.own, self.oracle, [some])
 
@@ -436,7 +435,7 @@ def decide_exp(
     query: Query,
     e: PartialAssignment,
     oracle: Optional[SatOracle] = None,
-    distance: Optional[DistanceMeasure] = None,
+    distance: DistanceMeasure = hamming,
     tau: float = math.inf,
 ) -> bool:
     """Membership by ``explain.membership`` on a SatSpace: at most one
@@ -464,7 +463,7 @@ def find_exp(
     kind: str,
     query: Query,
     oracle: Optional[SatOracle] = None,
-    distance: Optional[DistanceMeasure] = None,
+    distance: DistanceMeasure = hamming,
     tau: float = math.inf,
 ) -> Optional[PartialAssignment]:
     """Produce one explanation of the given kind, or None when none exists.
@@ -497,12 +496,8 @@ def find_exp(
 
     if kind == "gNec":
         # scan x's literals for a core literal of x's class
-        for i, v in x.indexed_literals():
-            if _in_core(classifier, own, i, v, oracle):
-                values: list[Optional[int]] = [None] * n
-                values[i] = v
-                return PartialAssignment(query.theory, tuple(values))
-        return None
+        space = SatSpace(classifier, label, oracle)
+        return next((e for e in _single_literals(x) if not space.lacking(e)), None)
 
     if kind == "featMin":
         y = _class_instance(classifier, -own, oracle)
@@ -519,15 +514,14 @@ def find_exp(
                 return flip_within(x, subset).difference(x)
         raise AssertionError("greedy shrink lost the flip")  # pragma: no cover
 
-    if kind == "cardMin" or (kind == "distMin" and distance in (None, hamming)):
+    if kind == "cardMin" or (kind == "distMin" and distance is hamming):
         return _smallest_flip(query, n, oracle)
 
     if kind == "distMin":
         return _closest_flip(query, distance, math.inf)
 
     if kind == "distCap":
-        d = distance if distance is not None else hamming
-        if d is hamming:
+        if distance is hamming:
             if math.isinf(tau):
                 bound = n
             elif float(tau).is_integer():
@@ -537,7 +531,7 @@ def find_exp(
             if bound <= 0:
                 return None
             return _smallest_flip(query, min(bound, n), oracle)
-        return _closest_flip(query, d, tau)
+        return _closest_flip(query, distance, tau)
 
     raise ValueError(f"unknown explainer kind {kind!r}")
 
@@ -555,17 +549,10 @@ def _smallest_flip(query: Query, top: int, oracle: SatOracle) -> Optional[Partia
 def _closest_flip(
     query: Query, distance: DistanceMeasure, tau: float
 ) -> Optional[PartialAssignment]:
-    """Enumerate opposite-class instances, keep the closest one under tau."""
-    view, cmask = query.space.view, query.space.cmask
+    """The flip to the closest opposite-class instance, if it lies under tau."""
     x = query.instance
-    best: Optional[PartialAssignment] = None
-    best_d = math.inf
-    for rank in ranks_in(view.full_mask & ~cmask):
-        y = instance_of_rank(query.theory, rank)
-        d = distance(y, x)
-        if d < best_d and d < tau:
-            best, best_d = y, d
-    return None if best is None else best.difference(x)
+    y = query.space.closest(x, distance)
+    return y.difference(x) if distance(y, x) < tau else None
 
 
 # -- core literals through the oracle ---------------------------------------------
@@ -578,11 +565,7 @@ def core_literals_sat(
     of class c, then one UNSAT check per feature, at y's value since no
     other value can be in the core; at most n + 1 oracle calls."""
     _require_formula(classifier)
-    oracle = oracle if oracle is not None else SatOracle()
-    literal = classifier.class_literal(c)
-    y = _class_instance(classifier, literal, oracle)
-    core = [
-        v if _in_core(classifier, literal, i, v, oracle) else None
-        for i, v in enumerate(y.values)
-    ]
+    space = SatSpace(classifier, c, oracle if oracle is not None else SatOracle())
+    y = _class_instance(classifier, space.own, space.oracle)
+    core = [None if space.lacking(e) else v for e, v in zip(_single_literals(y), y.values)]
     return PartialAssignment(classifier.theory, tuple(core))

@@ -1,5 +1,6 @@
 """Classifiers, bitmask views, cores, and query validation."""
 
+import csv
 import json
 import random
 
@@ -170,10 +171,10 @@ def test_table_csv_rejects_ragged_rows(row, line, fields):
 
 
 def test_table_csv_line_endings_and_quoted_cells(tmp_path):
-    """CRLF text parses as LF text, and a CR-only file parses once read as a
-    file (universal newlines, as the command line reads it).  A quoted cell
-    may hold a newline, and the breaks other than "\\n" and "\\r" that
-    str.splitlines splits at stay inside their cell."""
+    """CRLF and CR-only text parse as LF text, and so does a CR-only file
+    read as a file (universal newlines, as the command line reads it).  A
+    quoted cell may hold a newline, and the breaks other than "\\n" and
+    "\\r" that str.splitlines splits at stay inside their cell."""
     theory = validate_theory({
         "features": [{"name": "f1", "domain": ["0", "1"]},
                      {"name": "f2", "domain": ["x\x0by", "p\u2028q", "a\nb", "u\x0c\x1cv"]}],
@@ -182,11 +183,20 @@ def test_table_csv_line_endings_and_quoted_cells(tmp_path):
     rows = ["f1,f2,class", '0,x\x0by,c0', '0,"p\u2028q",c1', '0,"a\nb",c0', "0,u\x0c\x1cv,c1",
             '1,"x\x0by",c1', "1,p\u2028q,c0", '1,"a\nb",c1', '1,"u\x0c\x1cv",c0']
     want = TableClassifier(theory, ["c0", "c1", "c0", "c1", "c1", "c0", "c1", "c0"])
-    for end in ("\n", "\r\n"):
+    for end in ("\n", "\r\n", "\r"):
         assert TableClassifier.from_csv(end.join(rows) + end, theory) == want
     path = tmp_path / "cr.csv"
     path.write_bytes(("\r".join(rows) + "\r").encode("utf-8"))
     assert TableClassifier.from_csv(path.read_text(encoding="utf-8"), theory) == want
+
+
+def test_table_csv_turns_csv_module_errors_into_classifier_errors():
+    cell = "0" * (csv.field_size_limit() + 1)
+    text = csv_text("0,0,c0", f"0,1,{cell}", *GOOD_ROWS[2:])
+    with pytest.raises(ClassifierError) as exc:
+        TableClassifier.from_csv(text, make_theory([2, 2]))
+    assert type(exc.value) is ClassifierError
+    assert str(exc.value).startswith("CSV line 3: field larger than field limit")
 
 
 @pytest.mark.parametrize("window", [1, 2, 5, 1 << 16])

@@ -36,7 +36,7 @@ from cfexplain import (
     weighted_distance,
 )
 
-from cfexplain import derived as derived_module
+from cfexplain.classifier import MaskSpace
 from cfexplain.explain import collect
 from helpers import (
     load_reference,
@@ -186,8 +186,9 @@ def test_smallest_flips_match_their_definition_and_the_reference(reference, quer
 
 
 def test_smallest_flips_come_from_the_masks(monkeypatch):
-    """On a 3^7 threshold table, deciding cardMin builds no instance from a
-    rank, and listing it builds one per member and classifies nothing."""
+    """On a 3^7 threshold table, deciding cardMin builds no flip from a
+    rank, listing it builds one per member, and listing cardMin, cSuf or
+    featMin classifies nothing."""
     theory = make_theory([3] * 7)
     ranks = range(theory.instance_count())
     labels = ["c1" if sum(instance_of_rank(theory, r).values) >= 9 else "c0" for r in ranks]
@@ -202,8 +203,8 @@ def test_smallest_flips_come_from_the_masks(monkeypatch):
 
         return counted
 
-    rank, classify = derived_module.instance_of_rank, TableClassifier.classify
-    monkeypatch.setattr(derived_module, "instance_of_rank", counting("rank", rank))
+    rank, classify = MaskSpace.flip_of_rank, TableClassifier.classify
+    monkeypatch.setattr(MaskSpace, "flip_of_rank", staticmethod(counting("rank", rank)))
     monkeypatch.setattr(TableClassifier, "classify", counting("classify", classify))
     listed = card_min(q)
     assert listed.count == 126  # four or five of the five changed values at 2
@@ -211,6 +212,9 @@ def test_smallest_flips_come_from_the_masks(monkeypatch):
     calls.clear()
     assert is_derived_member("cardMin", q, listed.explanations[0])
     assert calls["rank"] == 0
+    calls.clear()
+    assert c_suf(q).count == labels.count("c1") and feat_min(q).count
+    assert calls["classify"] == 0
 
 
 def test_is_derived_member_rejects_unknown_kind():

@@ -11,9 +11,13 @@ from cfexplain import (
     PartialAssignment,
     Query,
     c_suf,
+    card_min,
     decide_exp,
+    dist_cap,
+    dist_min,
     explanation_set_from_json,
     feat_min,
+    find_exp,
     g_nec,
     generate,
     g_suf,
@@ -270,3 +274,32 @@ def test_all_nine_memberships_match_the_reference(reference, table_query, rng):
                     assert is_derived_member(kind, q, e) == want, (kind, e.render())
                 if q is formula_query:
                     assert decide_exp(kind, q, e) == want, (kind, e.render())
+
+
+LISTINGS = {**EXPLAIN, "featMin": feat_min, "cardMin": card_min, "distMin": dist_min,
+            "distCap": dist_cap}
+
+
+@given(multiclass_table_queries(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_every_listing_and_find_match_the_reference(reference, table_query, rng):
+    """Every listing of the nine kinds (hamming distMin, distCap at tau = inf)
+    equals bench/reference.py's Oracle.listing, in order, at caps None, 1
+    and 3, on a random table and a random boolean formula of at most 10
+    features.  On the formula, each find_exp answer is a reference member,
+    and None only where the reference listing is empty."""
+    formula_query = random_boolean_query(rng, rng.randint(2, 10))
+    for q in (table_query, formula_query):
+        oracle = reference_oracle(reference, q)
+        for kind, listing in LISTINGS.items():
+            for cap in (None, 1, 3):
+                got = listing(q, cap=cap)
+                want, truncated = oracle.listing(kind, cap)
+                assert [e.values for e in got] == want, (kind, cap)
+                assert got.truncated == truncated, (kind, cap)
+    for kind in LISTINGS:
+        found = find_exp(kind, formula_query)
+        if found is None:
+            assert not oracle.listing(kind, 1)[0], kind
+        else:
+            assert oracle.member(kind, found.values), (kind, found.render())
