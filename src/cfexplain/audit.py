@@ -6,16 +6,17 @@ verdict is either "no-violation-found" — over that suite, never a proof — or
 witness instance).  ``audit`` produces the full per-axiom profile and, for
 the built-in explainers, compares it against the expected pattern.
 
-Seven axioms judge each offered explanation on its own query; ``_violation``
-is the one test for each of them.  Verdicts come from one pass
+Seven axioms judge each offered explanation on its own query, by the tests
+that membership asks too (``explain.AXIOM_TESTS``); ``_violation`` turns a
+failed test into its witness and detail.  Verdicts come from one pass
 (``_first_violations``): queries in suite order, each output in its order,
 keeping the first counterexample per axiom.  Success looks at whole outputs
 and Equivalence at same-class query pairs.
 
 ``classify_family`` detects "always a subset of <family>" tags two ways —
-direct set inclusion against the enumeration oracles, and the axiom
-combinations that characterize each family — so the two routes can be
-cross-validated.
+direct set inclusion against the enumeration oracles, and the family's
+axioms (``explain.FAMILY_AXIOMS``, which define membership) — so the two
+routes can be cross-validated.
 
 ``impossibility_witness`` returns concrete constructions on which certain
 axiom sets cannot be satisfied together by any explanation set.
@@ -34,7 +35,6 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .bundles import load_bundle
 from .classifier import (
-    MaskSpace,
     Query,
     TableClassifier,
     class_view,
@@ -43,14 +43,15 @@ from .classifier import (
 )
 from .derived import card_min, dist_min, feat_min
 from .explain import (
+    AXIOM_TESTS,
     CORE_KINDS,
+    FAMILY_AXIOMS,
     ExplanationSet,
     c_suf,
     explanation_set_from_json,
     g_nec,
     g_suf,
     generate,
-    overwrite_flips,
     s_nec,
     s_suf,
 )
@@ -60,7 +61,6 @@ from .theory import (
     enumerate_instances,
     enumerate_partial_assignments,
     instance_of_rank,
-    substitute,
     validate_theory,
 )
 
@@ -152,68 +152,47 @@ def _equivalence_key(q: Query) -> tuple:
 
 
 def _check_equivalence(outputs) -> Optional[Counterexample]:
-    # pairs must share the classification function and the class
+    # pairs must share the classification function and the class; equality
+    # is transitive, so each query is compared with its group's first
     groups: dict[tuple, list[Query]] = {}
     for q in outputs:
         groups.setdefault(_equivalence_key(q), []).append(q)
-    for members in groups.values():
-        for i, q1 in enumerate(members):
-            for q2 in members[i + 1 :]:
-                s1, s2 = outputs[q1].assignments(), outputs[q2].assignments()
-                if s1 != s2:
-                    differing = sorted(s1 ^ s2, key=lambda e: e.sort_key())[0]
-                    return Counterexample(
-                        q1,
-                        differing,
-                        other_query=q2,
-                        detail="same class, different explanation sets",
-                    )
+    for first, *rest in groups.values():
+        s1 = outputs[first].assignments()
+        for q2 in rest:
+            s2 = outputs[q2].assignments()
+            if s1 != s2:
+                return Counterexample(
+                    first,
+                    min(s1 ^ s2, key=PartialAssignment.sort_key),
+                    other_query=q2,
+                    detail="same class, different explanation sets",
+                )
     return None
 
 
-def _first_instance(q: Query, mask: int) -> PartialAssignment:
-    return instance_of_rank(q.theory, next(ranks_in(mask)))
+_DETAILS = {
+    "NonTriviality": "empty assignment offered",
+    "Feasibility": "explanation not part of x",
+    "ScepticalValidity": "an exact-change variant keeps the class",
+    "Novelty": "shares a literal with x",
+    "StrongValidity": "an extension keeps the class",
+    "WeakValidity": "overwriting x does not change the class",
+}
 
 
-# The axioms that judge each offered explanation on its own query.
-_PER_EXPLANATION = tuple(a for a in AXIOMS if a not in ("Success", "Equivalence"))
-
-
-def _violation(
-    axiom: str, q: Query, space: MaskSpace, e: PartialAssignment
-) -> Optional[tuple[Optional[PartialAssignment], str]]:
-    """(witness, detail) when e, offered for q, violates the axiom, else None.
-
-    ``axiom`` is one of _PER_EXPLANATION; ``space`` is x's class on q's
-    truth table.  ScepticalValidity is vacuous for an e that is not part of x.
-    """
-    x = q.instance
-    if axiom == "NonTriviality":
-        return (None, "empty assignment offered") if e.is_empty else None
-    if axiom == "Feasibility":
-        return None if e.subset_of(x) else (None, "explanation not part of x")
+def _violation(axiom: str, q: Query, offence) -> tuple[Optional[PartialAssignment], str]:
+    """(witness, detail) for an explanation offered for q that fails the
+    axiom's test in ``AXIOM_TESTS``, whose answer was ``offence``."""
     if axiom == "Coreness":
-        if not space.lacking(e):
-            return None
         core = core_literals(q.classifier, q.label)
         return None, f"not inside the class core ({core.render()})"
-    if axiom == "ScepticalValidity":
-        bad = space.variant(x, e)
-        if not bad:
-            return None
-        return _first_instance(q, bad), "an exact-change variant keeps the class"
-    if axiom == "Novelty":
-        return None if e.disjoint_from(x) else (None, "shares a literal with x")
-    if axiom == "StrongValidity":
-        bad = space.extending(e)
-        if not bad:
-            return None
-        return _first_instance(q, bad), "an extension keeps the class"
-    if axiom == "WeakValidity":
-        if overwrite_flips(q.classifier, x, q.label, e):
-            return None
-        return substitute(x, e), "overwriting x does not change the class"
-    raise ValueError(f"{axiom!r} is not a per-explanation axiom")
+    witness = None
+    if axiom in ("ScepticalValidity", "StrongValidity"):  # a mask on q's truth table
+        witness = instance_of_rank(q.theory, next(ranks_in(offence)))
+    elif axiom == "WeakValidity":  # the overwritten instance
+        witness = offence
+    return witness, _DETAILS[axiom]
 
 
 def _first_violations(
@@ -230,7 +209,7 @@ def _first_violations(
         if cx is not None:
             found["Equivalence"] = cx
     success = "Success" in axioms
-    pending = [a for a in axioms if a in _PER_EXPLANATION]
+    pending = [a for a in axioms if a in AXIOM_TESTS]
     for q, out in outputs.items():
         if success and not out.count:
             found["Success"] = Counterexample(q, detail="empty explanation set")
@@ -239,9 +218,10 @@ def _first_violations(
             continue
         for e in out:
             for axiom in tuple(pending):
-                hit = _violation(axiom, q, q.space, e)
-                if hit is not None:
-                    found[axiom] = Counterexample(q, e, hit[0], detail=hit[1])
+                offence = AXIOM_TESTS[axiom](q.space, q, e)
+                if offence:
+                    witness, detail = _violation(axiom, q, offence)
+                    found[axiom] = Counterexample(q, e, witness, detail=detail)
                     pending.remove(axiom)
     return found
 
@@ -409,16 +389,6 @@ def audit(
 
 # -- family classification --------------------------------------------------------
 
-# Axiom combinations equivalent to "always a subset of <family>".
-_FAMILY_AXIOMS = {
-    "gNec": ("Coreness", "NonTriviality"),
-    "sNec": ("Feasibility", "ScepticalValidity"),
-    "gSuf": ("StrongValidity",),
-    "sSuf": ("Novelty", "StrongValidity"),
-    "cSuf": ("Novelty", "WeakValidity"),
-}
-
-
 @dataclass(frozen=True)
 class FamilyReport:
     inclusion_tags: frozenset[str]
@@ -444,10 +414,10 @@ def classify_family(explainer: Explainer, suite: Sequence[Query]) -> FamilyRepor
         for family in CORE_KINDS
         if all(outputs[q].assignments() <= generate(family, q).assignments() for q in suite)
     }
-    found = _first_violations(outputs, _PER_EXPLANATION)
+    found = _first_violations(outputs, tuple(AXIOM_TESTS))
     axiom_side = {
         family
-        for family, needed in _FAMILY_AXIOMS.items()
+        for family, needed in FAMILY_AXIOMS.items()
         if not any(a in found for a in needed)
     }
     return FamilyReport(frozenset(inclusion), frozenset(axiom_side))
@@ -652,13 +622,9 @@ def check_impossibility(witness: ImpossibilityWitness) -> tuple[bool, str]:
         or len({_equivalence_key(q) for q in queries}) > 1
     ):
         return False, "Equivalence does not make the witness queries share members"
-    axioms = [a for a in witness.axioms if a in _PER_EXPLANATION]
+    axioms = [a for a in witness.axioms if a in AXIOM_TESTS]
     for e in enumerate_partial_assignments(witness.query.theory):
-        if all(
-            _violation(a, q, q.space, e) is None
-            for q in queries
-            for a in axioms
-        ):
+        if not any(AXIOM_TESTS[a](q.space, q, e) for q in queries for a in axioms):
             return False, f"{e.render()} passes {'+'.join(axioms)} on every witness query"
     trace = _CONFLICT_TRACES[witness.set_id]
     return True, trace.format(subsets=2 ** witness.query.instance.size)

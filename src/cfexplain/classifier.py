@@ -490,7 +490,7 @@ def class_view(classifier: Classifier) -> ClassView:
 
 # -- the instance space as masks ------------------------------------------------
 #
-# ``explain.membership`` states all nine kinds once, as existence questions
+# ``explain.AXIOM_TESTS`` and ``explain.membership`` ask existence questions
 # about the instance space.  A space answers each with its offenders, falsy
 # when the condition holds: ``MaskSpace`` with a mask over instance ranks, and
 # ``sat.SatSpace`` with one oracle call and a witness instance or None.  Every

@@ -48,17 +48,14 @@ from .classifier import (
     core_literals,
 )
 from .derived import (
-    DistanceError,
-    NotAPreorder,
     card_min,
     dist_cap,
     dist_min,
     feat_min,
     hamming,
-    parse_weights,
     weighted_distance,
 )
-from .explain import CORE_KINDS, KINDS, generate, membership
+from .explain import CORE_KINDS, KINDS, DistanceError, generate, membership
 from .formulas import ParseError
 from .sat import (
     BackendFailure,
@@ -78,7 +75,6 @@ _DOMAIN_ERRORS = (
     TheoryError,
     ClassifierError,
     DistanceError,
-    NotAPreorder,
     NotBoolean,
     BackendFailure,
     ExternalExplainerFailure,
@@ -110,8 +106,7 @@ def _distance(args, theory):
     if spec == "hamming":
         return hamming
     if spec.startswith("weighted:"):
-        raw = json.loads(_read(spec[len("weighted:"):]))
-        return weighted_distance(parse_weights(raw, theory), theory)
+        return weighted_distance(json.loads(_read(spec[len("weighted:"):])), theory)
     raise ValueError(
         f"unknown distance {spec!r} (expected 'hamming' or 'weighted:<file>')"
     )
@@ -531,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="generated-query budget (0 = every generated query)",
     )
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_witness)
 
     return parser

@@ -40,8 +40,10 @@ from typing import Callable, Iterator, Mapping, Optional
 from .classifier import Query
 from .explain import (
     DERIVED_KINDS,
+    DistanceError,
     DistanceMeasure,
     ExplanationSet,
+    check_tau,
     collect,
     is_member,
     membership,
@@ -58,10 +60,6 @@ Weighting = Callable[[PartialAssignment], float]
 
 class NotAPreorder(ValueError):
     """The supplied ranking is not reflexive or not transitive."""
-
-
-class DistanceError(ValueError):
-    """Invalid distance specification (bad weights file and the like)."""
 
 
 # -- distance measures -----------------------------------------------------------
@@ -152,8 +150,7 @@ def dist_cap(
     cap: Optional[int] = None,
 ) -> ExplanationSet:
     """Flips whose counterfactual lies strictly closer than tau."""
-    if tau < 0:
-        raise DistanceError("threshold must be >= 0")
+    check_tau(tau)
     x = query.instance
     chosen = (e for e in _flips(query) if distance(substitute(x, e), x) < tau)
     return collect("distCap", chosen, cap)

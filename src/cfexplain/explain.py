@@ -15,12 +15,12 @@ differently, in one of five senses:
 * cSuf — E shares no literal with x and overwriting x with E changes the
   class (there exists a witness, rather than all extensions agreeing).
 
-``membership`` defines all nine kinds, these five and the four of
-``derived``, once: each kind's condition is a question about the instance
-space, asked of a truth table here (``is_member``) or of a SAT oracle
-(``sat.decide_exp``).  Enumeration emits the canonical order (size, then
-assigned features, then values) so capped output keeps the smallest
-explanations.
+The paper's representation theorems define the five: a family is the
+explanations that pass its axioms (``FAMILY_AXIOMS``), each axiom's test
+written once (``AXIOM_TESTS``) and shared by membership, decide and the
+audit.  ``membership`` defines all nine kinds, with the four of ``derived``,
+once.  Enumeration emits the canonical order (size, then assigned features,
+then values) so capped output keeps the smallest explanations.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .classifier import Classifier, Query, core_literals
+from .classifier import Query, core_literals
 from .theory import (
     PartialAssignment,
     enumerate_partial_assignments,
@@ -45,6 +45,16 @@ DERIVED_KINDS = ("featMin", "cardMin", "distMin", "distCap")
 KINDS = CORE_KINDS + DERIVED_KINDS
 
 DistanceMeasure = Callable[[PartialAssignment, PartialAssignment], float]
+
+
+class DistanceError(ValueError):
+    """Invalid distance specification (bad weights file and the like)."""
+
+
+def check_tau(tau: float) -> None:
+    """Reject a distCap threshold that is negative or NaN."""
+    if not tau >= 0:
+        raise DistanceError(f"threshold must be >= 0, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -106,14 +116,44 @@ def collect(
     return ExplanationSet(kind, out, next(rest, None) is not None)
 
 
-# -- membership: one definition over two instance spaces -------------------------
+# -- the axioms that judge one explanation, and the five families -----------------
 
 
-def overwrite_flips(
-    classifier: Classifier, x: PartialAssignment, label: str, e: PartialAssignment
-) -> bool:
-    """Overwriting x with e gives an instance outside class ``label``."""
-    return classifier.classify(substitute(x, e)) != label
+def _overwrite_keeps(space, query: Query, e: PartialAssignment) -> Optional[PartialAssignment]:
+    """x overwritten with e, if that instance keeps x's class."""
+    y = substitute(query.instance, e)
+    return y if query.classifier.classify(y) == query.label else None
+
+
+# Each test asks its one question of e, x and x's class (``space``: a
+# MaskSpace or a sat.SatSpace) and returns the offence: falsy when e passes,
+# else the witnesses the space found, the overwritten instance, or True.
+AXIOM_TESTS: dict[str, Callable] = {
+    "NonTriviality": lambda space, query, e: e.is_empty,
+    "Feasibility": lambda space, query, e: not e.subset_of(query.instance),
+    "Coreness": lambda space, query, e: space.lacking(e),
+    "ScepticalValidity": lambda space, query, e: space.variant(query.instance, e),
+    "Novelty": lambda space, query, e: not e.disjoint_from(query.instance),
+    "StrongValidity": lambda space, query, e: space.extending(e),
+    "WeakValidity": _overwrite_keeps,
+}
+
+# The representation theorems: each family is exactly the explanations that
+# pass its axioms.  Listed in the order membership asks them, so a SatSpace
+# never asks `lacking` of an empty e or `variant` of an e outside x.
+FAMILY_AXIOMS: dict[str, tuple[str, ...]] = {
+    "gNec": ("NonTriviality", "Coreness"),
+    "sNec": ("Feasibility", "ScepticalValidity"),
+    "gSuf": ("StrongValidity",),
+    "sSuf": ("Novelty", "StrongValidity"),
+    "cSuf": ("Novelty", "WeakValidity"),
+}
+
+# FAMILY_AXIOMS as each kind's tests, looked up once; a derived kind's are cSuf's.
+_KIND_TESTS = {
+    kind: tuple(AXIOM_TESTS[a] for a in FAMILY_AXIOMS.get(kind, FAMILY_AXIOMS["cSuf"]))
+    for kind in KINDS
+}
 
 
 def membership(
@@ -127,34 +167,31 @@ def membership(
     """Is e an explanation of the given kind for the query?
 
     ``space`` is x's class as a MaskSpace or a sat.SatSpace; ``distance``
-    and ``tau`` matter to distMin and distCap only.  The derived kinds
-    select among the flips, the cSuf members.  A weighted distMin measures
-    the nearest other-class instance on the truth table (``query.space``).
+    and ``tau`` matter to distMin and distCap only.  A member passes its
+    family's axioms; the derived kinds then select among the flips, the cSuf
+    members.  A weighted distMin measures the nearest other-class instance
+    on the truth table (``query.space``).
     """
-    if kind not in KINDS:
+    tests = _KIND_TESTS.get(kind)
+    if tests is None:
         raise ValueError(f"unknown explainer kind {kind!r}")
     if e.theory is not query.theory and e.theory != query.theory:
         raise ValueError("explanation belongs to a different theory")
+    if kind == "distCap":
+        check_tau(tau)
+    for test in tests:
+        if test(space, query, e):
+            return False
+    if kind in FAMILY_AXIOMS:
+        return True
     x = query.instance
-    if kind == "gNec":
-        return not e.is_empty and not space.lacking(e)
-    if kind == "sNec":
-        return e.subset_of(x) and not space.variant(x, e)
-    if kind == "gSuf":  # x itself extends the empty e
-        return not space.extending(e)
-    if kind == "sSuf":
-        return e.disjoint_from(x) and not space.extending(e)
-    if not (e.disjoint_from(x) and overwrite_flips(query.classifier, x, query.label, e)):
-        return False
     if kind == "featMin":
         return not space.smaller_flip(x, e)
     if kind == "cardMin" or (kind == "distMin" and distance is hamming):
         return not space.within(x, e.size - 1)  # a flip's hamming distance is its size
     if kind == "distMin":
         return distance(substitute(x, e), x) <= distance(query.space.closest(x, distance), x)
-    if kind == "distCap":
-        return distance(substitute(x, e), x) < tau
-    return True  # cSuf
+    return distance(substitute(x, e), x) < tau  # distCap
 
 
 def is_member(kind: str, query: Query, e: PartialAssignment) -> bool:

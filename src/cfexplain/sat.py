@@ -42,7 +42,7 @@ from .classifier import (
     UnknownClass,
     feature_vars,
 )
-from .explain import DistanceMeasure, membership
+from .explain import DistanceMeasure, check_tau, membership
 from .formulas import Clause, Formula, Not, tseitin, to_dimacs
 from .theory import PartialAssignment, Theory, hamming
 
@@ -410,8 +410,11 @@ class SatSpace:
         return _class_model(self.classifier, self.own, self.oracle, units)
 
     def variant(self, x: PartialAssignment, e: PartialAssignment) -> Witness:
-        """x with e's features flipped, for e part of x, if that keeps the
-        class: the one instance differing from x exactly there."""
+        """x with e's features flipped, if that keeps the class: the one
+        instance differing from x exactly there (none when e is not part
+        of x)."""
+        if not e.subset_of(x):
+            return None
         y = flip_within(x, e.feature_positions())
         return y if self.classifier.classify(y) == self.label else None
 
@@ -521,16 +524,10 @@ def find_exp(
         return _closest_flip(query, distance, math.inf)
 
     if kind == "distCap":
-        if distance is hamming:
-            if math.isinf(tau):
-                bound = n
-            elif float(tau).is_integer():
-                bound = int(tau) - 1  # strict threshold on integer distances
-            else:
-                bound = math.floor(tau)
-            if bound <= 0:
-                return None
-            return _smallest_flip(query, min(bound, n), oracle)
+        check_tau(tau)
+        if distance is hamming:  # distances are integers and the threshold strict
+            bound = n if math.isinf(tau) else min(n, math.ceil(tau) - 1)
+            return _smallest_flip(query, bound, oracle)
         return _closest_flip(query, distance, tau)
 
     raise ValueError(f"unknown explainer kind {kind!r}")

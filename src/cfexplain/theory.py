@@ -108,6 +108,13 @@ def _positions(names: tuple[str, ...]) -> dict[str, int]:
     return {name: i for i, name in enumerate(names)}
 
 
+def _json_list(value, what: str) -> Sequence:
+    """The value, if it is a JSON array (a string, object or number is not)."""
+    if not isinstance(value, Sequence) or isinstance(value, str):
+        raise TheoryError(f"{what} must be a list")
+    return value
+
+
 def validate_theory(raw: Mapping) -> Theory:
     """Build a Theory from its JSON form, enforcing all invariants.
 
@@ -121,16 +128,13 @@ def validate_theory(raw: Mapping) -> Theory:
         raw_classes = raw["classes"]
     except KeyError as exc:
         raise TheoryError(f"theory description missing key {exc}") from None
-    if not isinstance(raw_features, Sequence) or isinstance(raw_features, str):
-        raise TheoryError("'features' must be a list")
-
     features: list[str] = []
     domains: list[tuple[str, ...]] = []
-    for entry in raw_features:
+    for entry in _json_list(raw_features, "'features'"):
         if not isinstance(entry, Mapping) or "name" not in entry or "domain" not in entry:
             raise TheoryError("each feature needs 'name' and 'domain'")
         name = str(entry["name"])
-        domain = tuple(str(v) for v in entry["domain"])
+        domain = tuple(str(v) for v in _json_list(entry["domain"], f"the domain of {name!r}"))
         if len(domain) < 2:
             raise DomainTooSmall(
                 f"feature {name!r} has {len(domain)} value(s); at least 2 required"
@@ -144,7 +148,7 @@ def validate_theory(raw: Mapping) -> Theory:
     if not features:
         raise TheoryError("a theory needs at least one feature")
 
-    classes = tuple(str(c) for c in raw_classes)
+    classes = tuple(str(c) for c in _json_list(raw_classes, "'classes'"))
     if len(classes) < 2:
         raise TooFewClasses(f"{len(classes)} class(es); at least 2 required")
     if len(set(classes)) != len(classes):

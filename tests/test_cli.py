@@ -422,6 +422,13 @@ def test_witness_unknown_id(capsys):
     assert code == 1 and out == ""
 
 
+def test_witness_reports_are_json_only(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["witness", "--all", "--format", "text"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --format text" in capsys.readouterr().err
+
+
 # -- failure modes -------------------------------------------------------------------
 
 
@@ -503,6 +510,23 @@ def test_non_object_json_file_fails_cleanly(capsys, tmp_path, vacation_files, wh
     assert err.splitlines() == [
         f"error: ParseError: {which} file must hold a JSON object"
     ]
+
+
+@pytest.mark.parametrize("fixture", ["vacation", "majority"])
+@pytest.mark.parametrize("command", ["explain", "decide", "find"])
+def test_distcap_threshold_must_not_be_negative_or_nan(capsys, fixture, command):
+    argv = [command, "--fixture", fixture, "--kind", "distCap"]
+    if command == "decide":
+        e = load_bundle(fixture).query(1).instance.to_dict()
+        argv += ["--explanation", json.dumps(e)]
+    for tau in ("-1", "nan"):
+        code, out, err = run_cli(capsys, *argv, "--tau", tau)
+        assert code == 1 and out == "", tau
+        assert err.splitlines() == [
+            f"error: DistanceError: threshold must be >= 0, got {float(tau)}"
+        ]
+    code, out, err = run_cli(capsys, *argv, "--tau", "0")
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("index", ["0", "99"])

@@ -8,10 +8,12 @@ import pytest
 
 from cfexplain import (
     BackendFailure,
+    DistanceError,
     DpllBackend,
     ExecBackend,
     NotBoolean,
     PartialAssignment,
+    Query,
     SatOracle,
     UnknownClass,
     at_most_k,
@@ -20,8 +22,11 @@ from cfexplain import (
     core_literals,
     core_literals_sat,
     decide_exp,
+    dist_cap,
     dpll,
     encode_formula,
+    enumerate_instances,
+    enumerate_partial_assignments,
     find_exp,
     flip_within,
     hamming,
@@ -34,7 +39,9 @@ from cfexplain import (
 from cfexplain import classifier as classifier_module
 from cfexplain import formulas as formulas_module
 from cfexplain import sat as sat_module
+from cfexplain.explain import AXIOM_TESTS
 from cfexplain.formulas import evaluate, parse_formula, tseitin
+from cfexplain.sat import SatSpace
 
 from conftest import tool
 from helpers import (
@@ -290,6 +297,50 @@ def test_decide_exp_matches_enumeration_oracles():
                 else:
                     want = is_derived_member(kind, q, e)
                 assert got == want, (kind, q.instance.render(), e.render())
+
+
+def test_sat_space_answers_as_the_mask_space():
+    """SatSpace and MaskSpace agree on whether each question has a witness,
+    over every assignment e, on every majority instance and on random
+    boolean formulas of one to six features; so every axiom test gives the
+    same verdict on both spaces."""
+    m = load_bundle("majority")
+    rng = random.Random(23)
+    queries = [Query(m.theory, m.classifier, y) for y in enumerate_instances(m.theory)]
+    queries += [random_boolean_query(rng, n) for n in (1, 2, 3, 4, 5, 6, 6)]
+    for q in queries:
+        x, masks = q.instance, q.space
+        sat = SatSpace(q.classifier, q.label, SatOracle())
+        for k in range(q.theory.n_features + 1):
+            assert bool(masks.within(x, k)) == (sat.within(x, k) is not None), k
+        for e in enumerate_partial_assignments(q.theory):
+            where = (x.render(), e.render())
+            assert bool(masks.lacking(e)) == (sat.lacking(e) is not None), where
+            assert bool(masks.extending(e)) == (sat.extending(e) is not None), where
+            assert bool(masks.variant(x, e)) == (sat.variant(x, e) is not None), where
+            if e.disjoint_from(x):
+                flip = sat.smaller_flip(x, e) is not None
+                assert bool(masks.smaller_flip(x, e)) == flip, where
+            for axiom, test in AXIOM_TESTS.items():
+                assert bool(test(masks, q, e)) == bool(test(sat, q, e)), (axiom, *where)
+
+
+@pytest.mark.parametrize("tau", [-1.0, math.nan])
+def test_distcap_rejects_a_negative_or_nan_threshold(tau):
+    tables = load_bundle("vacation").query(1)
+    formulas = load_bundle("majority").query(1)
+    e = complement_instance(formulas.instance).difference(formulas.instance)
+    calls = [
+        lambda: dist_cap(tables, tau=tau),
+        lambda: is_derived_member("distCap", tables, tables.instance, tau=tau),
+        lambda: decide_exp("distCap", formulas, e, tau=tau),
+        lambda: find_exp("distCap", formulas, tau=tau),
+    ]
+    for call in calls:
+        with pytest.raises(DistanceError, match="threshold must be >= 0"):
+            call()
+    assert find_exp("distCap", formulas, tau=0) is None
+    assert decide_exp("distCap", formulas, e, tau=0) is False
 
 
 def test_decide_exp_with_distance_options():

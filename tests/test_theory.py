@@ -94,6 +94,18 @@ def test_values_are_coerced_to_strings():
     assert t.classes == ("1", "2")
 
 
+@pytest.mark.parametrize("value", ["xy", {"x": 1, "y": 2}, 5])
+def test_domain_and_classes_must_be_json_arrays(value):
+    """A string, object or number is not read as its characters, its keys
+    or a TypeError: it is a TheoryError."""
+    good = {"features": [{"name": "n", "domain": ["0", "1"]}], "classes": ["p", "q"]}
+    bad_domain = {**good, "features": [{"name": "n", "domain": value}]}
+    with pytest.raises(TheoryError, match="the domain of 'n' must be a list"):
+        validate_theory(bad_domain)
+    with pytest.raises(TheoryError, match="'classes' must be a list"):
+        validate_theory({**good, "classes": value})
+
+
 def test_theory_json_round_trip():
     t = vacation_theory()
     again = validate_theory(json.loads(json.dumps(t.to_json_dict())))
