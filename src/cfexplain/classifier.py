@@ -346,6 +346,15 @@ class FormulaClassifier(Classifier):
         clauses, root, n_vars = tseitin(self.formula, feature_vars(self.theory))
         return tuple(clauses), root, n_vars
 
+    @cached_property
+    def clause_index(self):
+        """The built-in solver's occurrence lists of the encoding, built on
+        first read; every solver call on this classifier reuses them."""
+        from .sat import ClauseIndex  # local import; sat builds on us
+
+        clauses, _, n_vars = self.encoding
+        return ClauseIndex(clauses, n_vars)
+
     def class_literal(self, c: str) -> int:
         """The encoding's literal that holds exactly on the instances of class c."""
         root = self.encoding[1]

@@ -540,7 +540,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:
-        print(f"error: DomainError: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message bare
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: DomainError: {message}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,11 +8,15 @@ search reduce to a handful of satisfiability calls instead of enumeration:
   (weighted distMin alone reads the truth table);
 * find — produce one explanation or report none, within tight call budgets:
   0 calls for sSuf (test the all-flipped instance), 1 for cSuf/gSuf/sNec
-  (one opposite-class model), at most n for gNec (scan x's literals);
-* core — a class's core as a backbone, in at most n + 1 calls.
+  (one opposite-class model), at most n for gNec (scan x's literals,
+  skipping those an earlier witness already lacks);
+* core — a class's core as a backbone, by the same scan, in at most n + 1
+  calls.
 
 Every call is the classifier's cached CNF (``FormulaClassifier.encoding``),
-the class's literal as a unit, then the call's own units or counter.
+the class's literal as a unit, then the call's own units or counter.  The
+built-in solver indexes the cached CNF once per classifier
+(``FormulaClassifier.clause_index``) and each call's own clauses per call.
 
 The oracle itself is pluggable: a deterministic built-in DPLL (fixed
 branching: ascending variable index, true first, chronological
@@ -31,7 +35,8 @@ from __future__ import annotations
 import math
 import subprocess
 import tempfile
-from itertools import combinations
+import threading
+from itertools import combinations, islice
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -43,7 +48,7 @@ from .classifier import (
     feature_vars,
 )
 from .explain import DistanceMeasure, check_tau, membership
-from .formulas import Clause, Formula, Not, tseitin, to_dimacs
+from .formulas import Clause, Formula, Not, evaluate_bitwise, tseitin, to_dimacs
 from .theory import PartialAssignment, Theory, hamming
 
 
@@ -70,6 +75,71 @@ def _require_formula(classifier: Classifier) -> FormulaClassifier:
 # -- backends --------------------------------------------------------------------
 
 
+class ClauseIndex:
+    """The occurrence lists of a clause list, by literal, for ``dpll``.
+
+    ``FormulaClassifier.clause_index`` keeps one over the classifier's
+    encoding, so those clauses are indexed once per classifier.  A solver
+    call adds its own clauses after the kept ones (``add``) and takes them
+    out again when it ends (``remove``), which leaves the kept state as it
+    was.  A solver call holds ``lock`` from ``add`` to ``remove``, so calls
+    on one classifier from several threads take turns.
+    """
+
+    def __init__(self, clauses: Sequence[Clause] = (), n_vars: int = 0):
+        self.occurs: list[list[int]] = [[]]  # by literal, negative ones from the end
+        self.size: list[int] = []  # clause widths, by position in the clause list
+        self.units: list[int] = []  # the literals of the unit clauses, in clause order
+        self.n_vars = 0
+        self.lock = threading.Lock()
+        self.add(clauses, n_vars)
+        self.clauses, self.n_vars = clauses, n_vars
+        self.count, self.n_units = len(clauses), len(self.units)
+
+    def __reduce__(self):
+        """Copies and pickles rebuild the kept state; a lock does not pickle."""
+        return ClauseIndex, (self.clauses, self.n_vars)
+
+    def add(self, clauses: Sequence[Clause], n_vars: int) -> None:
+        """Index the clauses after the kept ones, over at least n_vars
+        variables.  Raises ValueError, adding nothing, when a literal is 0
+        or names a variable above n_vars."""
+        lits = {lit for clause in clauses for lit in clause}
+        if lits and (0 in lits or max(lits) > n_vars or min(lits) < -n_vars):
+            raise ValueError(f"a clause holds a literal naming no variable in 1..{n_vars}")
+        occurs, top = self.occurs, self.n_vars
+        if n_vars > top:  # new slots between the positive and the negative literals
+            occurs[top + 1 : top + 1] = [[] for _ in range(2 * (n_vars - top))]
+        for ci, clause in enumerate(clauses, len(self.size)):
+            for lit in clause:
+                occurs[lit].append(ci)
+        self.size += map(len, clauses)
+        self.units += [clause[0] for clause in clauses if len(clause) == 1]
+
+    def remove(self, clauses: Sequence[Clause]) -> None:
+        """Take out the clauses added since the kept state, back to it."""
+        occurs, count, top = self.occurs, self.count, self.n_vars
+        for lit in {lit for clause in clauses for lit in clause}:
+            held = occurs[lit]
+            while held and held[-1] >= count:  # added occurrences come last
+                held.pop()
+        del occurs[top + 1 : len(occurs) - top]
+        del self.size[count:], self.units[self.n_units :]
+
+
+class IndexedClauses(list):
+    """The clause list of one solver call: the kept clauses of an index,
+    then the call's own.  Any backend reads it as a plain list; ``dpll``
+    reuses the index and indexes only the call's own clauses."""
+
+    __slots__ = ("kept",)
+
+    def __init__(self, kept: ClauseIndex, extra: Sequence[Clause]):
+        super().__init__(kept.clauses)
+        self.extend(extra)
+        self.kept = kept
+
+
 def dpll(clauses: Sequence[Clause], n_vars: int) -> Optional[tuple[bool, ...]]:
     """Deterministic DPLL: unit propagation to a fixpoint at every node,
     branching on the lowest unassigned variable, true first, with
@@ -88,24 +158,32 @@ def dpll(clauses: Sequence[Clause], n_vars: int) -> Optional[tuple[bool, ...]]:
     on the order of propagation, so the search tree and the model are those
     of the plain recursive formulation.
 
+    The occurrence lists come from a ``ClauseIndex``.  For
+    ``IndexedClauses`` it is the kept index, and only the call's own
+    clauses are added to it, and removed again when the call ends; any
+    other clause list is indexed whole in a fresh index that is not kept.
+
     Raises ValueError when a literal is 0 or names a variable above n_vars.
     """
-    size = [len(clause) for clause in clauses]
-    if 0 in size:
+    if not all(clauses):
         return None  # the empty clause is unsatisfiable
-    # Indexed by literal, negative literals from the end of the list.  The
-    # literal 0 lands in slot 0 and a literal whose variable lies past n_vars
-    # in a middle slot, unless it is out of the list's range altogether.
-    occurs: list[list[int]] = [[] for _ in range(4 * n_vars + 3)]
-    try:
-        for ci, clause in enumerate(clauses):
-            for lit in clause:
-                occurs[lit].append(ci)
-        stray = occurs[0] or any(occurs[n_vars + 1 : 3 * n_vars + 3])
-    except IndexError:
-        stray = True
-    if stray:
-        raise ValueError(f"a clause holds a literal naming no variable in 1..{n_vars}")
+    kept = clauses.kept if isinstance(clauses, IndexedClauses) else None
+    if kept is None or kept.n_vars > n_vars:  # fewer variables: the kept clauses get checked too
+        kept = ClauseIndex()
+    extra = clauses[kept.count :]
+    with kept.lock:
+        kept.add(extra, n_vars)
+        try:
+            return _search(clauses, n_vars, kept)
+        finally:
+            kept.remove(extra)
+
+
+def _search(
+    clauses: Sequence[Clause], n_vars: int, index: ClauseIndex
+) -> Optional[tuple[bool, ...]]:
+    """The DPLL search over clauses that the index holds, position by position."""
+    occurs, size = index.occurs, index.size
     value = [0] * (2 * n_vars + 1)  # by literal: 1 true, -1 false, 0 open
     n_true = [0] * len(size)
     n_false = [0] * len(size)
@@ -152,9 +230,9 @@ def dpll(clauses: Sequence[Clause], n_vars: int) -> Optional[tuple[bool, ...]]:
                     assign(next(other for other in clauses[ci] if not value[other]))
         return True
 
-    for clause, width in zip(clauses, size):
-        if width == 1 and not value[clause[0]]:
-            assign(clause[0])
+    for lit in index.units:
+        if not value[lit]:
+            assign(lit)
     head = 0
     while True:
         if propagate(head):
@@ -332,9 +410,11 @@ def _class_model(
 ) -> Optional[PartialAssignment]:
     """An instance where the class literal and the extra clauses hold, or None.
     The oracle gets a fresh list: the cached encoding, the literal as a unit,
-    then the extra clauses, over at least `n_vars` variables."""
-    clauses, _, base_vars = classifier.encoding
-    model = oracle.solve([*clauses, (literal,), *extra], max(base_vars, n_vars))
+    then the extra clauses, over at least `n_vars` variables; the built-in
+    solver reuses the classifier's clause index for the encoding."""
+    index = classifier.clause_index
+    call = IndexedClauses(index, [(literal,), *extra])
+    model = oracle.solve(call, max(index.n_vars, n_vars))
     return None if model is None else _model_instance(classifier.theory, model)
 
 
@@ -452,16 +532,6 @@ def decide_exp(
 # -- find ------------------------------------------------------------------------
 
 
-def _flip_changes_class(query: Query, positions) -> bool:
-    y = flip_within(query.instance, positions)
-    return query.classifier.classify(y) != query.label
-
-
-def _subsets_ascending(positions: tuple[int, ...]):
-    for size in range(1, len(positions) + 1):
-        yield from combinations(positions, size)
-
-
 def find_exp(
     kind: str,
     query: Query,
@@ -472,7 +542,10 @@ def find_exp(
     """Produce one explanation of the given kind, or None when none exists.
 
     Call budgets (asserted by tests): sSuf 0, cSuf/gSuf/sNec at most 1,
-    gNec at most n, featMin 1 plus evaluation-only shrinking.
+    gNec at most n (one per literal of x that no earlier witness has
+    already ruled out of the core), featMin 1 plus evaluation only: a
+    greedy shrink, then one bit-parallel evaluation per subset size (per
+    block of ``SUBSET_BLOCK`` subsets of one size).
     """
     classifier = _require_formula(query.classifier)
     oracle = oracle if oracle is not None else SatOracle()
@@ -498,9 +571,8 @@ def find_exp(
         return x.difference(_class_instance(classifier, -own, oracle))
 
     if kind == "gNec":
-        # scan x's literals for a core literal of x's class
-        space = SatSpace(classifier, label, oracle)
-        return next((e for e in _single_literals(x) if not space.lacking(e)), None)
+        # the first literal of x in the core of x's class
+        return next(_core_scan(SatSpace(classifier, label, oracle), x), None)
 
     if kind == "featMin":
         y = _class_instance(classifier, -own, oracle)
@@ -508,14 +580,9 @@ def find_exp(
         # greedy one-feature shrinking, evaluation only
         for i in list(positions):
             rest = [p for p in positions if p != i]
-            if rest and _flip_changes_class(query, rest):
+            if rest and classifier.classify(flip_within(x, rest)) != label:
                 positions = rest
-        # the first flipping subset in ascending size order is subset-minimal;
-        # the scan always hits at worst the full (still flipping) set
-        for subset in _subsets_ascending(tuple(positions)):
-            if _flip_changes_class(query, subset):
-                return flip_within(x, subset).difference(x)
-        raise AssertionError("greedy shrink lost the flip")  # pragma: no cover
+        return flip_within(x, _first_flipping_subset(query, positions)).difference(x)
 
     if kind == "cardMin" or (kind == "distMin" and distance is hamming):
         return _smallest_flip(query, n, oracle)
@@ -531,6 +598,39 @@ def find_exp(
         return _closest_flip(query, distance, tau)
 
     raise ValueError(f"unknown explainer kind {kind!r}")
+
+
+# Subsets per bit-parallel evaluation: a size with more subsets (a middle
+# size of a 29-feature flip has 77 million) is evaluated block by block, so
+# memory stays bounded by one block.
+SUBSET_BLOCK = 4096
+
+
+def _first_flipping_subset(query: Query, positions: Sequence[int]) -> tuple[int, ...]:
+    """The first subset of positions, by size and then in ``combinations``
+    order, whose flip changes x's class; it is subset-minimal.  Each block
+    of subsets of one size is one bit-parallel evaluation with one row per
+    subset.  The full set flips, so some subset is found."""
+    x, classifier = query.instance, query.classifier
+    features = classifier.theory.features
+    was_true = query.label == classifier.class_if_true
+    for size in range(1, len(positions) + 1):
+        subsets = combinations(positions, size)
+        while rows := list(islice(subsets, SUBSET_BLOCK)):
+            full = (1 << len(rows)) - 1
+            # one '0'/'1' digit per row of each flipped column, row r at index -1 - r
+            digits = {p: bytearray(b"0") * len(rows) for p in positions}
+            for r, subset in enumerate(rows, 1):
+                for p in subset:
+                    digits[p][-r] = ord("1")
+            columns = {f: full if v else 0 for f, v in zip(features, x.values)}
+            for p, flipped in digits.items():
+                columns[features[p]] ^= int(flipped, 2)
+            truth = evaluate_bitwise(classifier.formula, columns, full)
+            changed = truth ^ (full if was_true else 0)
+            if changed:
+                return rows[(changed & -changed).bit_length() - 1]
+    raise AssertionError("greedy shrink lost the flip")  # pragma: no cover
 
 
 def _smallest_flip(query: Query, top: int, oracle: SatOracle) -> Optional[PartialAssignment]:
@@ -555,14 +655,32 @@ def _closest_flip(
 # -- core literals through the oracle ---------------------------------------------
 
 
+def _core_scan(space: SatSpace, x: PartialAssignment) -> Iterator[PartialAssignment]:
+    """The literals of the instance x that are in the core of the space's
+    class, each alone, in feature order: one ``lacking`` call per literal,
+    except that a feature is skipped once an earlier witness differs from x
+    on it, since that witness is an instance of the class lacking x's
+    literal there."""
+    ruled_out = [False] * len(x.values)
+    for i, e in enumerate(_single_literals(x)):
+        if ruled_out[i]:
+            continue
+        y = space.lacking(e)
+        if y is None:
+            yield e
+        else:
+            ruled_out = [out or a != b for out, a, b in zip(ruled_out, y.values, x.values)]
+
+
 def core_literals_sat(
     classifier: FormulaClassifier, c: str, oracle: Optional[SatOracle] = None
 ) -> PartialAssignment:
     """Core of a class as a backbone (boolean formulas only): one instance y
-    of class c, then one UNSAT check per feature, at y's value since no
-    other value can be in the core; at most n + 1 oracle calls."""
+    of class c, then the core scan of y's literals, since no other value can
+    be in the core; at most n + 1 oracle calls."""
     _require_formula(classifier)
     space = SatSpace(classifier, c, oracle if oracle is not None else SatOracle())
     y = _class_instance(classifier, space.own, space.oracle)
-    core = [None if space.lacking(e) else v for e, v in zip(_single_literals(y), y.values)]
-    return PartialAssignment(classifier.theory, tuple(core))
+    in_core = {e.feature_positions()[0] for e in _core_scan(space, y)}
+    core = tuple(v if i in in_core else None for i, v in enumerate(y.values))
+    return PartialAssignment(classifier.theory, core)

@@ -27,6 +27,7 @@ from cfexplain import (
     validate_theory,
 )
 from cfexplain.formulas import And, Iff, Implies, Not, Or, Var
+from cfexplain.sat import SatOracle, SatSpace, find_exp, flip_within
 
 
 def make_theory(
@@ -308,6 +309,56 @@ def reference_dpll(clauses, n_vars: int) -> Optional[tuple[bool, ...]]:
     if search():
         return tuple(bool(assign[v]) for v in range(1, n_vars + 1))
     return None
+
+
+def _single_literal(x: PartialAssignment, i: int) -> PartialAssignment:
+    values = [None] * x.theory.n_features
+    values[i] = x.values[i]
+    return PartialAssignment(x.theory, tuple(values))
+
+
+def reference_gnec(q: Query, oracle: SatOracle) -> Optional[PartialAssignment]:
+    """``find gNec`` as a plain scan: one ``lacking`` call per literal of x,
+    in feature order, up to the first literal no instance of x's class lacks."""
+    space = SatSpace(q.classifier, q.label, oracle)
+    for i in range(q.theory.n_features):
+        e = _single_literal(q.instance, i)
+        if space.lacking(e) is None:
+            return e
+    return None
+
+
+def reference_core_sat(classifier: FormulaClassifier, c: str, oracle: SatOracle) -> PartialAssignment:
+    """``core_literals_sat`` as a plain backbone: one instance y of class c,
+    then one ``lacking`` call per feature, on y's literal alone."""
+    space = SatSpace(classifier, c, oracle)
+    y = space.extending(PartialAssignment.empty(classifier.theory))
+    core = [
+        None if space.lacking(_single_literal(y, i)) else v for i, v in enumerate(y.values)
+    ]
+    return PartialAssignment(classifier.theory, tuple(core))
+
+
+def reference_featmin(q: Query, oracle: SatOracle) -> PartialAssignment:
+    """``find featMin`` classifying one instance per subset: one
+    opposite-class model, the greedy one-feature shrink, then the first
+    subset of what is left, by size and in ``combinations`` order, whose
+    flip changes x's class."""
+    x = q.instance
+
+    def flips(positions) -> bool:
+        return q.classifier.classify(flip_within(x, positions)) != q.label
+
+    positions = list(find_exp("gSuf", q, oracle=oracle).difference(x).feature_positions())
+    for i in list(positions):
+        rest = [p for p in positions if p != i]
+        if rest and flips(rest):
+            positions = rest
+    for size in range(1, len(positions) + 1):
+        for subset in itertools.combinations(positions, size):
+            if flips(subset):
+                return flip_within(x, subset).difference(x)
+    raise AssertionError("greedy shrink lost the flip")
 
 
 def residual(x: PartialAssignment, e: PartialAssignment) -> list[PartialAssignment]:

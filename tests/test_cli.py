@@ -420,6 +420,7 @@ def test_witness_requires_a_mode(capsys):
 def test_witness_unknown_id(capsys):
     code, out, err = run_cli(capsys, "witness", "--id", "I9")
     assert code == 1 and out == ""
+    assert err == "error: DomainError: unknown impossibility set 'I9' (I1..I7)\n"
 
 
 def test_witness_reports_are_json_only(capsys):

@@ -1,8 +1,12 @@
 """The DPLL core, solver backends, encodings, and oracle-bounded procedures."""
 
+import gc
 import math
+import pickle
 import random
 import sys
+import threading
+import weakref
 
 import pytest
 
@@ -41,7 +45,7 @@ from cfexplain import formulas as formulas_module
 from cfexplain import sat as sat_module
 from cfexplain.explain import AXIOM_TESTS
 from cfexplain.formulas import evaluate, parse_formula, tseitin
-from cfexplain.sat import SatSpace
+from cfexplain.sat import SatSpace, _class_model
 
 from conftest import tool
 from helpers import (
@@ -53,7 +57,10 @@ from helpers import (
     random_formula,
     random_novel,
     random_subset_of,
+    reference_core_sat,
     reference_dpll,
+    reference_featmin,
+    reference_gnec,
     rule_list,
 )
 
@@ -148,7 +155,10 @@ def test_dpll_solves_a_long_chain_without_recursion():
 
 
 def test_dpll_rejects_literals_naming_no_variable():
-    for clauses, n in (([(3,)], 2), ([(1, -5)], 2), ([(0,)], 1), ([(1,)], 0)):
+    for clauses, n in (
+        ([(3,)], 2), ([(1, -5)], 2), ([(0,)], 1), ([(1,)], 0),
+        ([(4,)], 1), ([(6,)], 1), ([(-6,)], 1), ([(1, 2), (-9,)], 2),
+    ):
         with pytest.raises(ValueError):
             dpll(clauses, n)
 
@@ -523,14 +533,16 @@ def test_a_formula_classifier_is_encoded_once(monkeypatch):
 
 
 class RecordingBackend:
-    """The built-in solver, keeping every clause list it receives."""
+    """The built-in solver, keeping a copy of every clause list it receives,
+    with the variable count and the model."""
 
     def __init__(self):
         self.received = []
 
     def solve(self, clauses, n_vars):
-        self.received.append(list(clauses))
-        return dpll(clauses, n_vars)
+        model = dpll(clauses, n_vars)
+        self.received.append((list(clauses), n_vars, model))
+        return model
 
 
 def test_every_solver_call_starts_with_a_class_encoding():
@@ -545,5 +557,119 @@ def test_every_solver_call_starts_with_a_class_encoding():
             for c in q.theory.classes
         ]
         assert backend.received
-        for clauses in backend.received:
+        for clauses, _, _ in backend.received:
             assert any(clauses[: len(head)] == head for head in heads)
+
+
+# -- one clause index per classifier ------------------------------------------------------
+
+
+def index_state(index):
+    return (
+        [list(held) for held in index.occurs],
+        list(index.size),
+        list(index.units),
+        index.n_vars,
+        index.count,
+        index.n_units,
+    )
+
+
+def test_the_shared_clause_index_is_restored_after_every_call():
+    q = random_boolean_query(random.Random(47), 5)
+    clf, x = q.classifier, q.instance
+    index = clf.clause_index
+    kept = index_state(index)
+    _, _, n_vars = clf.encoding
+    own = clf.class_literal(q.label)
+    recorder = RecordingBackend()
+    oracle = SatOracle(recorder)
+    space = SatSpace(clf, q.label, oracle)
+    blank = PartialAssignment.empty(q.theory).values
+    # each call, then a call whose own clauses name no variable of the encoding
+    calls = [
+        (lambda: _class_model(clf, own, oracle), [(n_vars + 1,)]),
+        (lambda: space.extending(PartialAssignment(q.theory, x.values[:1] + blank[1:])), [(1,), (0,)]),
+        (lambda: space.lacking(x), [(-5 * n_vars,)]),
+        # a counter over more variables, then a negative literal just past n_vars
+        (lambda: space.within(x, 2), [(-(n_vars + 1),)]),
+        (lambda: space.smaller_flip(x, complement_instance(x)), [(2,), (n_vars + 1, 1)]),
+        (lambda: _class_model(clf, -own, oracle, [(1, -2)], n_vars), [(n_vars + 3,)]),
+        (lambda: space.within(x, 3), [(1, -(n_vars + 2))]),
+        (lambda: _class_model(clf, own, oracle, [(-1,), (2,)]), [(0,)]),
+    ]
+    for step, (call, stray) in enumerate(calls):
+        before = len(recorder.received)
+        call()
+        assert index_state(index) == kept, step
+        for clauses, n, model in recorder.received[before:]:
+            assert model == reference_dpll(clauses, n), step
+        with pytest.raises(ValueError):
+            _class_model(clf, own if step % 2 else -own, oracle, stray)
+        assert index_state(index) == kept, step
+    assert index_state(pickle.loads(pickle.dumps(clf)).clause_index) == kept
+
+
+def test_a_solved_classifier_is_not_retained():
+    q = random_boolean_query(random.Random(53), 4)
+    ref = weakref.ref(q.classifier)
+    for kind in SAT_DECIDE_KINDS:
+        find_exp(kind, q)
+        decide_exp(kind, q, q.instance)
+    for c in q.theory.classes:
+        core_literals_sat(q.classifier, c)
+    del q
+    gc.collect()
+    assert ref() is None
+
+
+def test_the_pruned_scans_match_the_plain_scans(monkeypatch):
+    """find gNec, find featMin and core_literals_sat against the scans they
+    replaced (tests/helpers.py): the same answers, and gNec within the
+    plain scan's oracle calls and within n.  featMin also in blocks of one
+    and of two subsets."""
+    rng = random.Random(59)
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        q = random_boolean_query(rng, n)
+        oracle, plain = SatOracle(), SatOracle()
+        assert find_exp("gNec", q, oracle=oracle) == reference_gnec(q, plain)
+        assert oracle.calls <= plain.calls and oracle.calls <= n
+        want = reference_featmin(q, SatOracle())
+        for block in (sat_module.SUBSET_BLOCK, 1, 2):
+            monkeypatch.setattr(sat_module, "SUBSET_BLOCK", block)
+            assert find_exp("featMin", q) == want, block
+        for c in q.theory.classes:
+            oracle = SatOracle()
+            assert core_literals_sat(q.classifier, c, oracle=oracle) == reference_core_sat(
+                q.classifier, c, SatOracle()
+            )
+            assert oracle.calls <= n + 1
+
+
+def test_threads_sharing_a_classifier_get_the_answers_of_one_thread():
+    q = random_boolean_query(random.Random(61), 6)
+    x = q.instance
+
+    def answers():
+        return [find_exp(kind, q) for kind in SAT_DECIDE_KINDS] + [
+            decide_exp(kind, q, x) for kind in SAT_DECIDE_KINDS
+        ] + [core_literals_sat(q.classifier, c) for c in q.theory.classes]
+
+    want = answers()
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=lambda: got.extend(answers() for _ in range(20)))
+            for _ in range(6)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [want] * (20 * len(workers))
