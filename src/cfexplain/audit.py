@@ -29,7 +29,10 @@ are explainers realizing specific axiom subsets.
 from __future__ import annotations
 
 import json
+import os
+import selectors
 import subprocess
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -756,37 +759,40 @@ def builtin_suite(budget: Optional[int] = 1500, seed: int = 0) -> Suite:
 # -- external explainers -----------------------------------------------------------
 
 
+# How long an external explainer may take to answer one query, in seconds.
+RESPONSE_SECONDS = 60.0
+
+
 class ExternalExplainer:
     """Audit a third-party explainer over a line-JSON subprocess protocol.
 
     One JSON query object per request line on stdin; one JSON explanation
-    set per response line on stdout.
+    set per response line on stdout, within ``RESPONSE_SECONDS``.  An
+    explainer that misses the deadline is killed and reaped.
     """
 
     def __init__(self, argv: Sequence[str]):
         self.argv = list(argv)
+        self._pending = b""  # output read past the last response line
         try:
             self.proc = subprocess.Popen(
                 self.argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
             )
         except OSError as exc:
             raise ExternalExplainerFailure(
                 f"cannot start {self.argv!r}: {exc}"
             ) from exc
+        os.set_blocking(self.proc.stdin.fileno(), False)  # a write takes what the pipe holds
 
     def __call__(self, query: Query) -> ExplanationSet:
         if self.proc.poll() is not None:
             raise ExternalExplainerFailure("explainer process already exited")
         request = json.dumps(query.to_json_dict(), sort_keys=True)
         try:
-            assert self.proc.stdin is not None and self.proc.stdout is not None
-            self.proc.stdin.write(request + "\n")
-            self.proc.stdin.flush()
-            line = self.proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
+            line = self._exchange(request.encode() + b"\n")
+        except OSError as exc:
             raise ExternalExplainerFailure(f"protocol I/O failed: {exc}") from exc
         if not line:
             raise ExternalExplainerFailure("explainer closed its output")
@@ -797,6 +803,40 @@ class ExternalExplainer:
             raise ExternalExplainerFailure(
                 f"bad response line: {line.strip()!r} ({exc})"
             ) from exc
+
+    def _exchange(self, request: bytes) -> str:
+        """Write the request and read the next line of the explainer's
+        output ("" at its end), each pipe as it becomes ready, all within
+        ``RESPONSE_SECONDS``: past that the explainer is killed and reaped."""
+        assert self.proc.stdin is not None and self.proc.stdout is not None
+        stdin, stdout = self.proc.stdin.fileno(), self.proc.stdout.fileno()
+        deadline = time.monotonic() + RESPONSE_SECONDS
+        with selectors.DefaultSelector() as selector:
+            selector.register(stdin, selectors.EVENT_WRITE)
+            selector.register(stdout, selectors.EVENT_READ)
+            ended = False
+            while request or not (ended or b"\n" in self._pending):
+                left = deadline - time.monotonic()
+                ready = selector.select(left) if left > 0 else []
+                if not ready:
+                    self.proc.kill()
+                    self.proc.wait()
+                    raise ExternalExplainerFailure(
+                        f"no response within {RESPONSE_SECONDS:g} s; explainer killed"
+                    )
+                for key, _ in ready:
+                    if key.fd == stdin:
+                        request = request[os.write(stdin, request):]
+                        if not request:
+                            selector.unregister(stdin)
+                    else:
+                        chunk = os.read(stdout, 1 << 16)
+                        if not chunk:
+                            ended = True
+                            selector.unregister(stdout)
+                        self._pending += chunk
+        line, newline, self._pending = self._pending.partition(b"\n")
+        return (line + newline).decode(errors="replace")
 
     def close(self) -> None:
         if self.proc.poll() is None:

@@ -565,19 +565,30 @@ class MaskSpace:
         on k features, each as the values x does not share."""
         other = ~self.cmask
         for layer in self.view.distance_layers(x)[1:]:
-            flips = [self.flip_of_rank(x, r) for r in ranks_in(layer & other)]
-            yield sorted(flips, key=PartialAssignment.sort_key)
+            keyed = sorted(self.flip_of_rank(x, r) for r in ranks_in(layer & other))
+            yield [e for _, e in keyed]
 
     @staticmethod
-    def flip_of_rank(x: PartialAssignment, rank: int) -> PartialAssignment:
-        """The instance of that rank as a flip of x: its value where it
-        differs from x, None elsewhere, read off the rank's digits."""
+    def flip_of_rank(x: PartialAssignment, rank: int) -> tuple[int, PartialAssignment]:
+        """The instance of that rank as a flip of x, read off the rank's
+        digits: its value where it differs from x, None elsewhere.  Returned
+        after its sort key, which orders flips of one size as
+        ``PartialAssignment.sort_key`` does: by the features kept from x, read
+        as a binary number with feature 0 highest (the fewer of the leading
+        features kept, the earlier), then by rank (the values)."""
         theory = x.theory
         values = []
+        kept = 0
         for stride, domain, xv in zip(theory.strides, theory.domains, x.values):
             v = rank // stride % len(domain)
-            values.append(None if v == xv else v)
-        return PartialAssignment(theory, tuple(values))
+            if v == xv:
+                kept += kept + 1
+                values.append(None)
+            else:
+                kept += kept
+                values.append(v)
+        n_rows = theory.strides[0] * len(theory.domains[0])
+        return kept * n_rows + rank, PartialAssignment.unchecked(theory, tuple(values))
 
 
 # -- operations ----------------------------------------------------------------

@@ -27,14 +27,17 @@ distMin measure each flip.  Membership of all four is ``explain.membership``.
 Each family is also the set of maximal elements of a "faithful" ranking — a
 preorder that strictly prefers every flip to every non-flip.  The weightings
 and `faithful_max` below make that characterization executable, and
-`is_faithful` checks the defining property of a ranking directly.
+`is_faithful` checks the defining property of a ranking directly.  A ranking
+made from a weighting carries it, and both read their answer off one weight
+per assignment (linear); an opaque ``Ranking`` is compared pair by pair
+(quadratic).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, Iterator, Mapping, Optional
 
 from .classifier import Query
@@ -197,9 +200,17 @@ def distance_weighting(query: Query, distance: DistanceMeasure = hamming) -> Wei
 
 @dataclass(frozen=True)
 class Ranking:
-    """A preorder: ``at_least(a, b)`` reads "a is at least as good as b"."""
+    """A preorder: ``at_least(a, b)`` reads "a is at least as good as b".
+
+    A ranking made by ``ranking_from_weighting`` also carries its (cached)
+    weighting and its mode, from which `faithful_max` and `is_faithful`
+    read their answers one weight per candidate; without them a ranking is
+    opaque, and only ``at_least`` is asked, pair by pair.
+    """
 
     at_least: Callable[[PartialAssignment, PartialAssignment], bool]
+    weighting: Optional[Weighting] = None
+    mode: Optional[str] = None
 
     def strictly_better(self, a: PartialAssignment, b: PartialAssignment) -> bool:
         return self.at_least(a, b) and not self.at_least(b, a)
@@ -216,12 +227,13 @@ def ranking_from_weighting(w: Weighting, mode: str = "min-is-better") -> Ranking
     cache: dict[PartialAssignment, float] = {}
 
     def weight(e: PartialAssignment) -> float:
-        if e not in cache:
-            cache[e] = w(e)
-        return cache[e]
+        we = cache.get(e)
+        if we is None:
+            we = cache[e] = w(e)
+        return we
 
     if mode == "min-is-better":
-        return Ranking(lambda a, b: weight(a) <= weight(b))
+        return Ranking(lambda a, b: weight(a) <= weight(b), weight, mode)
     if mode == "delta-feature-refined":
 
         def at_least(a: PartialAssignment, b: PartialAssignment) -> bool:
@@ -232,7 +244,7 @@ def ranking_from_weighting(w: Weighting, mode: str = "min-is-better") -> Ranking
                 b.feature_positions()
             )
 
-        return Ranking(at_least)
+        return Ranking(at_least, weight, mode)
     raise ValueError(f"unknown ranking mode {mode!r}")
 
 
@@ -252,19 +264,49 @@ def _check_preorder(ranking: Ranking, candidates: list[PartialAssignment]) -> No
                     )
 
 
+def _least_weight(
+    ranking: Ranking, candidates: list[PartialAssignment]
+) -> tuple[PartialAssignment, ...]:
+    """The maximal candidates of a weighting's ranking, in their order.
+
+    Under either mode only a lighter candidate, or under
+    ``delta-feature-refined`` an equally heavy one on a strict subset of the
+    features, beats another, and no comparison with NaN holds.  So the
+    maximal ones are the least-weight bucket (under ``delta-feature-refined``
+    its feature-set-minimal members) and every NaN-weighted candidate.
+    """
+    weights = [ranking.weighting(e) for e in candidates]
+    least = min((w for w in weights if w == w), default=None)
+    keep = [w == least or w != w for w in weights]
+    if ranking.mode == "delta-feature-refined":
+        masks = [
+            sum(1 << i for i in e.feature_positions()) if w == least else None
+            for e, w in zip(candidates, weights)
+        ]
+        bucket = set(masks) - {None}
+        beaten = {m for m in bucket if any(s != m and s & m == s for s in bucket)}
+        keep = [k and m not in beaten for k, m in zip(keep, masks)]
+    return tuple(compress(candidates, keep))
+
+
 def faithful_max(
     query: Query, ranking: Ranking, *, check_preorder: bool = False
 ) -> ExplanationSet:
     """Maximal assignments under the ranking: nothing strictly beats them.
 
-    Enumerates the whole assignment space and keeps the undominated ones by
-    pairwise comparison.  With ``check_preorder`` the ranking is first
-    verified reflexive and transitive over the enumerated candidates —
-    quadratic/cubic, desk scale only.
+    Enumerates the whole assignment space.  A ranking that carries its
+    weighting (``ranking_from_weighting``) weighs each candidate once and
+    keeps the least-weight ones (see ``_least_weight``): linear in the
+    candidates.  An opaque ``Ranking`` keeps the undominated ones by
+    pairwise comparison: quadratic.  With ``check_preorder`` the ranking is
+    first verified reflexive and transitive over the enumerated candidates —
+    cubic, desk scale only.
     """
     candidates = list(enumerate_partial_assignments(query.theory))
     if check_preorder:
         _check_preorder(ranking, candidates)
+    if ranking.weighting is not None:
+        return ExplanationSet("max", _least_weight(ranking, candidates))
     maximal = tuple(
         e
         for e in candidates
@@ -282,12 +324,25 @@ class FaithfulnessVerdict:
 def is_faithful(
     make_ranking: Callable[[Query], Ranking], query: Query
 ) -> FaithfulnessVerdict:
-    """Does the ranking strictly prefer every flip to every non-flip?"""
+    """Does the ranking strictly prefer every flip to every non-flip?
+
+    A ranking that carries its weighting passes at once when every weight
+    is a number and every flip weighs less than every non-flip, one weight
+    per candidate.  Otherwise, and for an opaque ``Ranking``, every
+    (flip, non-flip) pair is compared, and the first failing pair in
+    enumeration order is the counterexample.
+    """
     ranking = make_ranking(query)
     flips: list[PartialAssignment] = []
     rest: list[PartialAssignment] = []
     for e in enumerate_partial_assignments(query.theory):
         (flips if is_member("cSuf", query, e) else rest).append(e)
+    if ranking.weighting is not None:
+        flip_weights = [ranking.weighting(e) for e in flips]
+        rest_weights = [ranking.weighting(e) for e in rest]
+        numbers = all(w == w for w in chain(flip_weights, rest_weights))
+        if numbers and max(flip_weights, default=-math.inf) < min(rest_weights, default=math.inf):
+            return FaithfulnessVerdict(True)
     for good in flips:
         for bad in rest:
             if not ranking.strictly_better(good, bad):

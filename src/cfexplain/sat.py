@@ -274,7 +274,8 @@ class ExecBackend:
     Expects SAT-competition output: an ``s SATISFIABLE`` /
     ``s UNSATISFIABLE`` line, and for satisfiable instances ``v`` lines with
     a 0-terminated literal list.  Variables missing from the model read as
-    false.
+    false.  A model is checked against the clauses it was asked about; one
+    that falsifies a clause is a ``BackendFailure``.
     """
 
     def __init__(self, path: str):
@@ -284,9 +285,10 @@ class ExecBackend:
     def solve(
         self, clauses: Sequence[Clause], n_vars: int
     ) -> Optional[tuple[bool, ...]]:
+        clauses = list(clauses)
         with tempfile.TemporaryDirectory(prefix="cfexplain-sat-") as tmp:
             problem = Path(tmp) / "problem.cnf"
-            problem.write_text(to_dimacs(list(clauses), n_vars))
+            problem.write_text(to_dimacs(clauses, n_vars))
             try:
                 proc = subprocess.run(
                     [self.path, str(problem)],
@@ -298,7 +300,15 @@ class ExecBackend:
                 raise BackendFailure(f"cannot run solver {self.path!r}: {exc}") from exc
             except subprocess.TimeoutExpired as exc:
                 raise BackendFailure(f"solver {self.path!r} timed out") from exc
-        return self._parse(proc.stdout, n_vars)
+        model = self._parse(proc.stdout, n_vars)
+        if model is not None:
+            for number, clause in enumerate(clauses, 1):
+                if not any(model[abs(lit) - 1] == (lit > 0) for lit in clause):
+                    raise BackendFailure(
+                        f"solver {self.path!r} answered a model that falsifies "
+                        f"clause {number} of {len(clauses)}"
+                    )
+        return model
 
     def _parse(self, stdout: str, n_vars: int) -> Optional[tuple[bool, ...]]:
         status: Optional[str] = None

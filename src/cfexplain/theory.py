@@ -181,6 +181,16 @@ class PartialAssignment:
     # -- construction -----------------------------------------------------
 
     @staticmethod
+    def unchecked(theory: Theory, values: tuple[Optional[int], ...]) -> "PartialAssignment":
+        """An assignment built without ``__post_init__``'s checks, for values
+        known to fit the theory: drawn from its own ranges (enumerations,
+        rank decoding) or copied from checked assignments (substitution)."""
+        e = object.__new__(PartialAssignment)
+        object.__setattr__(e, "theory", theory)
+        object.__setattr__(e, "values", values)
+        return e
+
+    @staticmethod
     def empty(theory: Theory) -> "PartialAssignment":
         return PartialAssignment(theory, (None,) * theory.n_features)
 
@@ -314,7 +324,7 @@ def _assignments_by_size(
                 values: list[Optional[int]] = [None] * n
                 for i, v in zip(feats, vals):
                     values[i] = v
-                yield PartialAssignment(theory, tuple(values))
+                yield PartialAssignment.unchecked(theory, tuple(values))
 
 
 def enumerate_partial_assignments(theory: Theory) -> Iterator[PartialAssignment]:
@@ -332,7 +342,7 @@ def substitute(x: PartialAssignment, e: PartialAssignment) -> PartialAssignment:
     """The instance obtained from x by overwriting e's features with e."""
     as_instance(x)
     _same_theory(x, e)
-    return PartialAssignment(
+    return PartialAssignment.unchecked(
         x.theory,
         tuple(e.values[i] if e.values[i] is not None else x.values[i]
               for i in range(x.theory.n_features)),
@@ -383,4 +393,4 @@ def instance_of_rank(theory: Theory, rank: int) -> PartialAssignment:
     values = []
     for i in range(theory.n_features):
         values.append((rank // s[i]) % len(theory.domains[i]))
-    return PartialAssignment(theory, tuple(values))
+    return PartialAssignment.unchecked(theory, tuple(values))

@@ -1,5 +1,6 @@
 """Axiom checks, expected profiles, impossibility and compatibility witnesses."""
 
+import os
 import sys
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from cfexplain import (
     ExternalExplainerFailure,
     PartialAssignment,
     Query,
+    TableClassifier,
     audit,
     builtin_suite,
     c_suf,
@@ -26,6 +28,7 @@ from cfexplain import (
     constant_empty,
     g_nec,
     impossibility_witness,
+    instance_of_rank,
     load_bundle,
     old_values,
     profile_inconsistencies,
@@ -33,7 +36,7 @@ from cfexplain import (
 )
 
 from conftest import tool
-from helpers import load_reference, reference_oracle
+from helpers import load_reference, make_theory, reference_oracle
 
 
 AUDITED = (
@@ -402,3 +405,20 @@ def test_external_explainer_protocol_violations():
             ext(q)
     with pytest.raises(ExternalExplainerFailure):
         ExternalExplainer(["/nonexistent/explainer"])
+
+
+def test_an_explainer_that_reads_nothing_misses_the_deadline(monkeypatch, tmp_path):
+    """A request larger than the pipe holds cannot block the write past the
+    deadline: the explainer is killed and reaped."""
+    monkeypatch.setattr(sys.modules["cfexplain.audit"], "RESPONSE_SECONDS", 0.5)
+    theory = make_theory([3] * 8)
+    labels = ["c0", "c1"] * (theory.instance_count() // 2) + ["c0"]
+    q = Query(theory, TableClassifier(theory, labels), instance_of_rank(theory, 0))
+    pid_file = tmp_path / "pid"
+    argv = [sys.executable, tool("stalled_explainer.py"), str(pid_file)]
+    with ExternalExplainer(argv) as ext:
+        with pytest.raises(ExternalExplainerFailure, match="no response within 0.5 s"):
+            ext(q)
+        assert ext.proc.returncode is not None
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)

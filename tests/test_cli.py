@@ -25,6 +25,7 @@ from cfexplain import (
     load_theory_text,
 )
 from cfexplain.cli import main
+from cfexplain.sat import BackendFailure, ExecBackend, SatOracle, core_literals_sat
 
 from conftest import tool
 from helpers import planted_cnf, rule_list
@@ -372,6 +373,24 @@ def test_audit_external_explainer(capsys):
     assert patterns["external"] == patterns["constant-blank"]
 
 
+def test_a_stalled_external_explainer_is_killed(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(sys.modules["cfexplain.audit"], "RESPONSE_SECONDS", 0.5)
+    pid_file = tmp_path / "pid"
+    code, out, err = run_cli(
+        capsys,
+        *audit_args(
+            "--explainer", "constant-blank",
+            "--external", sys.executable, tool("stalled_explainer.py"), str(pid_file),
+        ),
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error: ExternalExplainerFailure: no response within 0.5 s; explainer killed\n"
+    )
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text()), 0)
+
+
 def test_audit_rejects_unknown_explainer(capsys):
     code, out, err = run_cli(capsys, *audit_args("--explainer", "zzz"))
     assert code == 1 and out == "" and "unknown explainer" in err
@@ -599,6 +618,28 @@ def test_incomplete_custom_input_reports_missing_flags(capsys, vacation_files):
     )
     assert code == 1 and out == ""
     assert "--classifier" in err and "--instance" in err
+
+
+def test_a_lying_solver_is_caught(capsys):
+    """A solver that answers every call with the all-false model is caught
+    by the model check: each command that reaches it ends in one error line."""
+    backend = ("--sat-backend", f"exec:{tool('lying_solver.py')}")
+    commands = [
+        ("find", "--fixture", "majority", "--query", "1", "--kind", kind, *backend)
+        for kind in ("csuf", "gsuf", "cardmin")
+    ] + [
+        ("decide", "--fixture", "majority", "--query", "1", "--kind", "gsuf",
+         "--explanation", '{"f2": "1", "f3": "1"}', *backend),
+    ]
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert len(err.splitlines()) == 1, argv
+        assert err.startswith("error: BackendFailure: ") and "falsifies clause" in err, argv
+    # `core` has no --sat-backend flag; its SAT route is reached through the library
+    oracle = SatOracle(ExecBackend(tool("lying_solver.py")))
+    with pytest.raises(BackendFailure, match="falsifies clause"):
+        core_literals_sat(load_bundle("majority").classifier, "yes", oracle)
 
 
 def test_broken_sat_backend_fails_cleanly(capsys):

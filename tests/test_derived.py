@@ -1,6 +1,8 @@
 """Minimality- and distance-based explainers plus the faithful-ranking machinery."""
 
+import dataclasses
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -36,6 +38,7 @@ from cfexplain import (
     weighted_distance,
 )
 
+from cfexplain.audit import generated_probe_queries
 from cfexplain.classifier import MaskSpace
 from cfexplain.explain import collect
 from helpers import (
@@ -331,6 +334,77 @@ def test_is_faithful_verdicts():
 
     assert is_member("cSuf", q, flip)
     assert not is_member("cSuf", q, nonflip)
+
+
+MODES = ("min-is-better", "delta-feature-refined")
+
+
+def _palette(q):
+    """Ties, +-inf and NaN, fixed by e's literals."""
+    palette = (math.nan, math.inf, -math.inf, 0.0, 1.0, 1.0, 2.0)
+    return lambda e: palette[sum((i + 2) * (v + 1) for i, v in e.indexed_literals()) % 7]
+
+
+def _nan_past_size_one(q):
+    w = size_weighting(q)
+    return lambda e: math.nan if e.size > 1 else w(e)
+
+
+WEIGHTINGS = (
+    indicator_weighting,
+    size_weighting,
+    distance_weighting,
+    lambda q: (lambda e: -float(e.size)),  # prefers non-flips: not faithful
+    _palette,
+    _nan_past_size_one,
+)
+
+
+def test_weighting_rankings_answer_as_the_pairwise_path():
+    """A ranking that carries its weighting gives the pairwise path's
+    maximal tuple, in its order, and its verdict and counterexample."""
+    probes = generated_probe_queries()
+    picks = sorted(random.Random(17).sample(range(len(probes)), 30))
+    queries = [probes[i] for i in picks]
+    for name in ("vacation", "bitcount", "corner", "majority"):
+        queries += load_bundle(name).queries()
+    verdicts = Counter()
+    for q in queries:
+        for make in WEIGHTINGS:
+            for mode in MODES:
+                def weighed(qq, make=make, mode=mode):
+                    return ranking_from_weighting(make(qq), mode)
+
+                def opaque(qq, weighed=weighed):
+                    return Ranking(weighed(qq).at_least)
+
+                assert weighed(q).weighting is not None
+                got = faithful_max(q, weighed(q)).explanations
+                assert got == faithful_max(q, opaque(q)).explanations
+                verdict = is_faithful(weighed, q)
+                assert verdict == is_faithful(opaque, q)
+                verdicts[verdict.ok] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_weighting_rankings_never_ask_at_least():
+    """Maximal sets and verdicts of a weighting's ranking come from its
+    weights alone."""
+
+    def refuse(a, b):
+        raise AssertionError("at_least asked")
+
+    q = vac().query(2)
+    for make, mode, family in (
+        (indicator_weighting, "delta-feature-refined", feat_min),
+        (size_weighting, "min-is-better", card_min),
+        (distance_weighting, "min-is-better", dist_min),
+    ):
+        def blind(qq, make=make, mode=mode):
+            return dataclasses.replace(ranking_from_weighting(make(qq), mode), at_least=refuse)
+
+        assert frozenset(faithful_max(q, blind(q))) == frozenset(family(q))
+        assert is_faithful(blind, q).ok
 
 
 def test_ranking_mode_validation():
