@@ -65,7 +65,6 @@ from .derived import (
     DERIVED_KINDS,
     DistanceError,
     FaithfulnessVerdict,
-    NotAPreorder,
     Ranking,
     card_min,
     dist_cap,

@@ -412,7 +412,11 @@ class ClassView:
 
     def __init__(self, classifier: Classifier):
         theory = classifier.theory
-        n_rows = enumerable_count(theory)
+        n_rows = theory.instance_count()
+        if n_rows > _VIEW_LIMIT:
+            raise ClassifierError(
+                f"feature space of {n_rows} instances is too large to audit exhaustively"
+            )
         self.theory = theory
         self.n_rows = n_rows
         self.full_mask = (1 << n_rows) - 1
@@ -470,17 +474,6 @@ def _tile(pattern: int, period: int, total: int) -> int:
         mask |= mask << length
         length *= 2
     return mask & ((1 << total) - 1)
-
-
-def enumerable_count(theory: Theory) -> int:
-    """The theory's instance count; ClassifierError past the cap on
-    exhaustive work (views and listings)."""
-    n_rows = theory.instance_count()
-    if n_rows > _VIEW_LIMIT:
-        raise ClassifierError(
-            f"feature space of {n_rows} instances is too large to audit exhaustively"
-        )
-    return n_rows
 
 
 def ranks_in(mask: int) -> Iterator[int]:

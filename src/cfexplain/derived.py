@@ -27,14 +27,15 @@ distMin measure each flip.  Membership of all four is ``explain.membership``.
 Each family is also the set of maximal elements of a "faithful" ranking — a
 preorder that strictly prefers every flip to every non-flip.  The weightings
 and `faithful_max` below make that characterization executable, and
-`is_faithful` checks the defining property of a ranking directly.  A ranking
-made from a weighting carries it, and both read their answer off one weight
-per assignment (linear); an opaque ``Ranking`` is compared pair by pair
-(quadratic).
+`is_faithful` checks the defining property of a ranking directly.  A
+``Ranking`` is a weighting plus a mode, and both read their answer off one
+weight per assignment.  The weightings list x's flips once and look each
+assignment up in that set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -48,7 +49,6 @@ from .explain import (
     ExplanationSet,
     check_tau,
     collect,
-    is_member,
     membership,
 )
 from .theory import (
@@ -59,10 +59,6 @@ from .theory import (
 )
 
 Weighting = Callable[[PartialAssignment], float]
-
-
-class NotAPreorder(ValueError):
-    """The supplied ranking is not reflexive or not transitive."""
 
 
 # -- distance measures -----------------------------------------------------------
@@ -176,105 +172,81 @@ def is_derived_member(
 # -- weightings and rankings -----------------------------------------------------
 
 
+def _flip_weighting(query: Query, weigh: Weighting) -> Weighting:
+    """weigh(e) on x's flips, +inf elsewhere; the flips are listed once."""
+    theory, flips = query.theory, frozenset(_flips(query))
+
+    def weight(e: PartialAssignment) -> float:
+        if e.theory is not theory and e.theory != theory:
+            raise ValueError("explanation belongs to a different theory")
+        return weigh(e) if e in flips else math.inf
+
+    return weight
+
+
 def indicator_weighting(query: Query) -> Weighting:
     """1 on flips, +inf elsewhere."""
-    return lambda e: 1.0 if is_member("cSuf", query, e) else math.inf
+    return _flip_weighting(query, lambda e: 1.0)
 
 
 def size_weighting(query: Query) -> Weighting:
     """|E| on flips, +inf elsewhere."""
-    return lambda e: float(e.size) if is_member("cSuf", query, e) else math.inf
+    return _flip_weighting(query, lambda e: float(e.size))
 
 
 def distance_weighting(query: Query, distance: DistanceMeasure = hamming) -> Weighting:
     """Distance from x to the counterfactual on flips, +inf elsewhere."""
     x = query.instance
-
-    def weight(e: PartialAssignment) -> float:
-        if not is_member("cSuf", query, e):
-            return math.inf
-        return float(distance(substitute(x, e), x))
-
-    return weight
+    return _flip_weighting(query, lambda e: float(distance(substitute(x, e), x)))
 
 
 @dataclass(frozen=True)
 class Ranking:
-    """A preorder: ``at_least(a, b)`` reads "a is at least as good as b".
+    """The preorder a weighting induces; ``at_least(a, b)`` reads "a is at
+    least as good as b".
 
-    A ranking made by ``ranking_from_weighting`` also carries its (cached)
-    weighting and its mode, from which `faithful_max` and `is_faithful`
-    read their answers one weight per candidate; without them a ranking is
-    opaque, and only ``at_least`` is asked, pair by pair.
+    ``min-is-better`` is the total preorder "weight(a) <= weight(b)".
+    ``delta-feature-refined`` additionally requires nested feature sets on
+    ties: a >= b iff weight(a) < weight(b), or the weights are equal and
+    Feat(a) is a subset of Feat(b).  On a finite candidate set every total
+    preorder is ``min-is-better`` for some weighting: weigh each candidate
+    by its rank.
     """
 
-    at_least: Callable[[PartialAssignment, PartialAssignment], bool]
-    weighting: Optional[Weighting] = None
-    mode: Optional[str] = None
+    weighting: Weighting
+    mode: str = "min-is-better"
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("min-is-better", "delta-feature-refined"):
+            raise ValueError(f"unknown ranking mode {self.mode!r}")
+
+    def at_least(self, a: PartialAssignment, b: PartialAssignment) -> bool:
+        wa, wb = self.weighting(a), self.weighting(b)
+        if wa == wb and self.mode == "delta-feature-refined":
+            return set(a.feature_positions()) <= set(b.feature_positions())
+        return wa <= wb
 
     def strictly_better(self, a: PartialAssignment, b: PartialAssignment) -> bool:
         return self.at_least(a, b) and not self.at_least(b, a)
 
 
 def ranking_from_weighting(w: Weighting, mode: str = "min-is-better") -> Ranking:
-    """Turn a weighting into a preorder.
-
-    ``min-is-better`` is the total preorder "weight(a) <= weight(b)".
-    ``delta-feature-refined`` additionally requires nested feature sets on
-    ties: a >= b iff weight(a) < weight(b), or the weights are equal and
-    Feat(a) is a subset of Feat(b).
-    """
-    cache: dict[PartialAssignment, float] = {}
-
-    def weight(e: PartialAssignment) -> float:
-        we = cache.get(e)
-        if we is None:
-            we = cache[e] = w(e)
-        return we
-
-    if mode == "min-is-better":
-        return Ranking(lambda a, b: weight(a) <= weight(b), weight, mode)
-    if mode == "delta-feature-refined":
-
-        def at_least(a: PartialAssignment, b: PartialAssignment) -> bool:
-            wa, wb = weight(a), weight(b)
-            if wa < wb:
-                return True
-            return wa == wb and set(a.feature_positions()) <= set(
-                b.feature_positions()
-            )
-
-        return Ranking(at_least, weight, mode)
-    raise ValueError(f"unknown ranking mode {mode!r}")
+    """The ranking of w, which is asked at most once per assignment."""
+    return Ranking(functools.cache(w), mode)
 
 
-def _check_preorder(ranking: Ranking, candidates: list[PartialAssignment]) -> None:
-    for e in candidates:
-        if not ranking.at_least(e, e):
-            raise NotAPreorder(f"not reflexive at {e.render()}")
-    for a in candidates:
-        for b in candidates:
-            if not ranking.at_least(a, b):
-                continue
-            for c in candidates:
-                if ranking.at_least(b, c) and not ranking.at_least(a, c):
-                    raise NotAPreorder(
-                        "not transitive at "
-                        f"{a.render()} / {b.render()} / {c.render()}"
-                    )
+def faithful_max(query: Query, ranking: Ranking) -> ExplanationSet:
+    """Maximal assignments under the ranking: nothing strictly beats them.
 
-
-def _least_weight(
-    ranking: Ranking, candidates: list[PartialAssignment]
-) -> tuple[PartialAssignment, ...]:
-    """The maximal candidates of a weighting's ranking, in their order.
-
+    Enumerates the whole assignment space and weighs each candidate once.
     Under either mode only a lighter candidate, or under
     ``delta-feature-refined`` an equally heavy one on a strict subset of the
     features, beats another, and no comparison with NaN holds.  So the
     maximal ones are the least-weight bucket (under ``delta-feature-refined``
-    its feature-set-minimal members) and every NaN-weighted candidate.
+    its feature-set-minimal members) and every NaN-weighted candidate, in
+    enumeration order.
     """
+    candidates = list(enumerate_partial_assignments(query.theory))
     weights = [ranking.weighting(e) for e in candidates]
     least = min((w for w in weights if w == w), default=None)
     keep = [w == least or w != w for w in weights]
@@ -286,33 +258,7 @@ def _least_weight(
         bucket = set(masks) - {None}
         beaten = {m for m in bucket if any(s != m and s & m == s for s in bucket)}
         keep = [k and m not in beaten for k, m in zip(keep, masks)]
-    return tuple(compress(candidates, keep))
-
-
-def faithful_max(
-    query: Query, ranking: Ranking, *, check_preorder: bool = False
-) -> ExplanationSet:
-    """Maximal assignments under the ranking: nothing strictly beats them.
-
-    Enumerates the whole assignment space.  A ranking that carries its
-    weighting (``ranking_from_weighting``) weighs each candidate once and
-    keeps the least-weight ones (see ``_least_weight``): linear in the
-    candidates.  An opaque ``Ranking`` keeps the undominated ones by
-    pairwise comparison: quadratic.  With ``check_preorder`` the ranking is
-    first verified reflexive and transitive over the enumerated candidates —
-    cubic, desk scale only.
-    """
-    candidates = list(enumerate_partial_assignments(query.theory))
-    if check_preorder:
-        _check_preorder(ranking, candidates)
-    if ranking.weighting is not None:
-        return ExplanationSet("max", _least_weight(ranking, candidates))
-    maximal = tuple(
-        e
-        for e in candidates
-        if not any(ranking.strictly_better(other, e) for other in candidates)
-    )
-    return ExplanationSet("max", maximal)
+    return ExplanationSet("max", tuple(compress(candidates, keep)))
 
 
 @dataclass(frozen=True)
@@ -326,23 +272,23 @@ def is_faithful(
 ) -> FaithfulnessVerdict:
     """Does the ranking strictly prefer every flip to every non-flip?
 
-    A ranking that carries its weighting passes at once when every weight
-    is a number and every flip weighs less than every non-flip, one weight
-    per candidate.  Otherwise, and for an opaque ``Ranking``, every
-    (flip, non-flip) pair is compared, and the first failing pair in
-    enumeration order is the counterexample.
+    It does at once when every weight is a number and every flip weighs
+    less than every non-flip.  Otherwise every (flip, non-flip) pair is
+    compared, and the first failing pair in enumeration order is the
+    counterexample; under ``delta-feature-refined`` a flip can still beat a
+    non-flip of equal weight.
     """
     ranking = make_ranking(query)
+    listed = frozenset(_flips(query))
     flips: list[PartialAssignment] = []
     rest: list[PartialAssignment] = []
     for e in enumerate_partial_assignments(query.theory):
-        (flips if is_member("cSuf", query, e) else rest).append(e)
-    if ranking.weighting is not None:
-        flip_weights = [ranking.weighting(e) for e in flips]
-        rest_weights = [ranking.weighting(e) for e in rest]
-        numbers = all(w == w for w in chain(flip_weights, rest_weights))
-        if numbers and max(flip_weights, default=-math.inf) < min(rest_weights, default=math.inf):
-            return FaithfulnessVerdict(True)
+        (flips if e in listed else rest).append(e)
+    flip_weights = [ranking.weighting(e) for e in flips]
+    rest_weights = [ranking.weighting(e) for e in rest]
+    numbers = all(w == w for w in chain(flip_weights, rest_weights))
+    if numbers and max(flip_weights, default=-math.inf) < min(rest_weights, default=math.inf):
+        return FaithfulnessVerdict(True)
     for good in flips:
         for bad in rest:
             if not ranking.strictly_better(good, bad):

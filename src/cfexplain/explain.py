@@ -92,10 +92,10 @@ class ExplanationSet:
 
 def explanation_set_from_json(raw: Mapping, query: Query) -> ExplanationSet:
     """Parse the JSON form back over a known query (used for external tools)."""
-    explanations = tuple(
-        PartialAssignment.from_dict(query.theory, item)
-        for item in raw["explanations"]
-    )
+    items = raw["explanations"]
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ValueError("explanations must be a JSON array of JSON objects")
+    explanations = tuple(PartialAssignment.from_dict(query.theory, item) for item in items)
     return ExplanationSet(
         kind=str(raw["kind"]),
         explanations=explanations,

@@ -411,3 +411,89 @@ def exhaustive_members(kind: str, query: Query):
         for e in enumerate_partial_assignments(query.theory)
         if is_member(kind, query, e)
     )
+
+
+# -- rankings by their definitions ----------------------------------------------
+
+
+def reference_at_least(weighting, mode: str):
+    """"a is at least as good as b" under a weighting, from the two modes'
+    definitions: weight(a) <= weight(b); under ``delta-feature-refined``,
+    weight(a) < weight(b), or equal weights and Feat(a) inside Feat(b)."""
+
+    def at_least(a: PartialAssignment, b: PartialAssignment) -> bool:
+        wa, wb = weighting(a), weighting(b)
+        if mode == "min-is-better":
+            return wa <= wb
+        assert mode == "delta-feature-refined", mode
+        return wa < wb or (wa == wb and set(a.feature_positions()) <= set(b.feature_positions()))
+
+    return at_least
+
+
+def _weighed_once(weighting, candidates):
+    weights = {e: weighting(e) for e in candidates}
+    return weights.__getitem__
+
+
+def reference_faithful_max(q: Query, weighting, mode: str) -> tuple[PartialAssignment, ...]:
+    """The assignments nothing strictly beats, by pairwise comparison, in
+    enumeration order."""
+    from cfexplain import enumerate_partial_assignments
+
+    candidates = list(enumerate_partial_assignments(q.theory))
+    at_least = reference_at_least(_weighed_once(weighting, candidates), mode)
+    return tuple(
+        e
+        for e in candidates
+        if not any(at_least(o, e) and not at_least(e, o) for o in candidates)
+    )
+
+
+def reference_is_faithful(q: Query, weighting, mode: str):
+    """(ok, counterexample): the first (flip, non-flip) pair in enumeration
+    order where the flip is not strictly better, a flip being a novel
+    assignment whose overwrite of x changes x's class."""
+    from cfexplain import enumerate_partial_assignments, substitute
+
+    x = q.instance
+    candidates = list(enumerate_partial_assignments(q.theory))
+    at_least = reference_at_least(_weighed_once(weighting, candidates), mode)
+    flipped = [
+        e.disjoint_from(x) and q.classifier.classify(substitute(x, e)) != q.label
+        for e in candidates
+    ]
+    flips = [e for e, f in zip(candidates, flipped) if f]
+    rest = [e for e, f in zip(candidates, flipped) if not f]
+    for good in flips:
+        for bad in rest:
+            if not (at_least(good, bad) and not at_least(bad, good)):
+                return False, (good, bad)
+    return True, None
+
+
+# -- abductive explanations ------------------------------------------------------
+
+
+def reference_axps(q: Query) -> set[frozenset[int]]:
+    """The feature sets of the AXps of x: the subset-minimal parts of x whose
+    every extension keeps x's class, found by classifying every instance."""
+    x = q.instance
+    n = q.theory.n_features
+    others = [
+        y.values
+        for y in enumerate_instances(q.theory)
+        if q.classifier.classify(y) != q.label
+    ]
+    parts = [frozenset(s) for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+    keeping = [
+        s for s in parts if not any(all(y[i] == x.values[i] for i in s) for y in others)
+    ]
+    return {s for s in keeping if not any(t < s for t in keeping)}
+
+
+def minimal_hitting_sets(family: set[frozenset[int]], n: int) -> set[frozenset[int]]:
+    """The subset-minimal sets of positions 0..n-1 meeting every set of the family."""
+    subsets = [frozenset(s) for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+    hitting = [s for s in subsets if all(s & f for f in family)]
+    return {s for s in hitting if not any(t < s for t in hitting)}

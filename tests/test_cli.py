@@ -373,6 +373,21 @@ def test_audit_external_explainer(capsys):
     assert patterns["external"] == patterns["constant-blank"]
 
 
+@pytest.mark.parametrize("shape", ["list", "object"])
+def test_explanations_that_are_not_objects_are_a_bad_response(capsys, shape):
+    code, out, err = run_cli(
+        capsys,
+        *audit_args(
+            "--explainer", "constant-blank",
+            "--external", sys.executable, tool("listy_explainer.py"), shape,
+        ),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ExternalExplainerFailure: bad response line: ")
+    assert err.endswith("(explanations must be a JSON array of JSON objects)\n")
+    assert err.count("\n") == 1
+
+
 def test_a_stalled_external_explainer_is_killed(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sys.modules["cfexplain.audit"], "RESPONSE_SECONDS", 0.5)
     pid_file = tmp_path / "pid"

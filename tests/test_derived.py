@@ -1,6 +1,5 @@
 """Minimality- and distance-based explainers plus the faithful-ranking machinery."""
 
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from cfexplain import (
     DERIVED_KINDS,
     DistanceError,
-    NotAPreorder,
     PartialAssignment,
     Query,
     Ranking,
@@ -38,15 +36,20 @@ from cfexplain import (
     weighted_distance,
 )
 
+from cfexplain import derived, explain
 from cfexplain.audit import generated_probe_queries
 from cfexplain.classifier import MaskSpace
 from cfexplain.explain import collect
 from helpers import (
     load_reference,
     make_theory,
+    minimal_hitting_sets,
     multiclass_table_queries,
     random_assignment,
     random_novel,
+    reference_axps,
+    reference_faithful_max,
+    reference_is_faithful,
     reference_oracle,
     table_queries,
 )
@@ -284,32 +287,6 @@ def test_faithful_max_reproduces_each_family():
         assert frozenset(dist) == frozenset(dist_min(q))
 
 
-def test_faithful_max_checks_preorders():
-    q = vac().query(1)
-    # fine with a genuine preorder
-    faithful_max(
-        q, ranking_from_weighting(size_weighting(q)), check_preorder=True
-    )
-    with pytest.raises(NotAPreorder):
-        faithful_max(q, Ranking(lambda a, b: a != b), check_preorder=True)
-
-    order = {}
-
-    def cyclic(a, b):
-        if a == b:
-            return True
-        pa, pb = order.setdefault(a, len(order)), order.setdefault(b, len(order))
-        return (pa + 1) % 3 == pb % 3
-
-    small = make_theory([2])
-    from cfexplain import TableClassifier, Query, instance_of_rank
-
-    clf = TableClassifier(small, ["c0", "c1"])
-    tiny_q = Query(small, clf, instance_of_rank(small, 0))
-    with pytest.raises(NotAPreorder):
-        faithful_max(tiny_q, Ranking(cyclic), check_preorder=True)
-
-
 def test_is_faithful_verdicts():
     q = vac().query(1)
     for factory in (
@@ -323,8 +300,7 @@ def test_is_faithful_verdicts():
 
     # preferring big assignments is not faithful: non-flips beat flips
     def backwards(qq):
-        w = size_weighting(qq)
-        return Ranking(lambda a, b: w(a) >= w(b))
+        return ranking_from_weighting(lambda e: -float(e.size))
 
     verdict = is_faithful(backwards, q)
     assert not verdict.ok
@@ -361,8 +337,8 @@ WEIGHTINGS = (
 
 
 def test_weighting_rankings_answer_as_the_pairwise_path():
-    """A ranking that carries its weighting gives the pairwise path's
-    maximal tuple, in its order, and its verdict and counterexample."""
+    """faithful_max and is_faithful give the pairwise definitions' maximal
+    tuple, in its order, and their verdict and counterexample."""
     probes = generated_probe_queries()
     picks = sorted(random.Random(17).sample(range(len(probes)), 30))
     queries = [probes[i] for i in picks]
@@ -375,36 +351,66 @@ def test_weighting_rankings_answer_as_the_pairwise_path():
                 def weighed(qq, make=make, mode=mode):
                     return ranking_from_weighting(make(qq), mode)
 
-                def opaque(qq, weighed=weighed):
-                    return Ranking(weighed(qq).at_least)
-
-                assert weighed(q).weighting is not None
                 got = faithful_max(q, weighed(q)).explanations
-                assert got == faithful_max(q, opaque(q)).explanations
+                assert got == reference_faithful_max(q, make(q), mode)
                 verdict = is_faithful(weighed, q)
-                assert verdict == is_faithful(opaque, q)
+                assert (verdict.ok, verdict.counterexample) == reference_is_faithful(
+                    q, make(q), mode
+                )
                 verdicts[verdict.ok] += 1
     assert verdicts[True] and verdicts[False]
 
 
-def test_weighting_rankings_never_ask_at_least():
-    """Maximal sets and verdicts of a weighting's ranking come from its
-    weights alone."""
+def test_weighting_rankings_never_ask_at_least(monkeypatch):
+    """Maximal sets and passing verdicts come from the weights alone."""
 
-    def refuse(a, b):
-        raise AssertionError("at_least asked")
+    def refuse(self, a, b):
+        raise AssertionError("a pairwise comparison was asked")
 
+    monkeypatch.setattr(Ranking, "at_least", refuse)
+    monkeypatch.setattr(Ranking, "strictly_better", refuse)
     q = vac().query(2)
     for make, mode, family in (
         (indicator_weighting, "delta-feature-refined", feat_min),
         (size_weighting, "min-is-better", card_min),
         (distance_weighting, "min-is-better", dist_min),
     ):
-        def blind(qq, make=make, mode=mode):
-            return dataclasses.replace(ranking_from_weighting(make(qq), mode), at_least=refuse)
+        def weighed(qq, make=make, mode=mode):
+            return ranking_from_weighting(make(qq), mode)
 
-        assert frozenset(faithful_max(q, blind(q))) == frozenset(family(q))
-        assert is_faithful(blind, q).ok
+        assert frozenset(faithful_max(q, weighed(q))) == frozenset(family(q))
+        assert is_faithful(weighed, q).ok
+
+
+def test_the_ranking_pass_asks_no_membership(monkeypatch):
+    """The weightings and is_faithful read x's flips off one listing, never
+    through membership."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership was asked")
+
+    monkeypatch.setattr(explain, "membership", refuse)
+    monkeypatch.setattr(derived, "membership", refuse)
+    probes = generated_probe_queries()
+    for q in [vac().query(2), *probes[::400]]:
+        for weighting, mode in (
+            (indicator_weighting, "delta-feature-refined"),
+            (size_weighting, "min-is-better"),
+            (distance_weighting, "min-is-better"),
+        ):
+            def weighed(qq, weighting=weighting, mode=mode):
+                return ranking_from_weighting(weighting(qq), mode)
+
+            assert faithful_max(q, weighed(q)).count
+            assert is_faithful(weighed, q).ok
+
+
+def test_weightings_reject_an_assignment_of_another_theory():
+    q = vac().query(1)
+    stranger = PartialAssignment.empty(make_theory([2, 2]))
+    for weighting in (indicator_weighting, size_weighting, distance_weighting):
+        with pytest.raises(ValueError, match="different theory"):
+            weighting(q)(stranger)
 
 
 def test_ranking_mode_validation():
@@ -434,3 +440,27 @@ def test_hamming_minimal_equals_cardinality_minimal(query):
     assert frozenset(dist_min(query)) == frozenset(card_min(query))
     for e in c_suf(query):
         assert hamming(substitute(query.instance, e), query.instance) == e.size
+
+
+# -- AXp/CXp duality ---------------------------------------------------------------------
+
+
+def assert_duality(query):
+    """featMin's feature sets (the CXps) and the AXps are each other's minimal
+    hitting sets (Ignatiev, Narodytska, Asher & Marques-Silva, AIxIA 2020)."""
+    n = query.theory.n_features
+    cxps = {frozenset(e.feature_positions()) for e in feat_min(query)}
+    axps = reference_axps(query)
+    assert minimal_hitting_sets(cxps, n) == axps, query.instance.render()
+    assert minimal_hitting_sets(axps, n) == cxps, query.instance.render()
+
+
+def test_feature_minimal_flips_are_dual_to_abductive_explanations_on_the_probes():
+    for q in generated_probe_queries():
+        assert_duality(q)
+
+
+@given(table_queries())
+@settings(max_examples=60, deadline=None)
+def test_feature_minimal_flips_are_dual_to_abductive_explanations(query):
+    assert_duality(query)
