@@ -91,16 +91,23 @@ class ExplanationSet:
 
 
 def explanation_set_from_json(raw: Mapping, query: Query) -> ExplanationSet:
-    """Parse the JSON form back over a known query (used for external tools)."""
-    items = raw["explanations"]
+    """Parse the JSON form back over a known query (used for external tools).
+
+    Raises ValueError on a value that would otherwise be misread: a kind
+    that is not a string, a truncation marker that is not a boolean, and an
+    explanation listed twice."""
+    items, kind, truncated = raw["explanations"], raw["kind"], raw.get("truncated", False)
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise ValueError("explanations must be a JSON array of JSON objects")
+    if not isinstance(kind, str):
+        raise ValueError(f"kind must be a string, not {kind!r}")
+    if not isinstance(truncated, bool):
+        raise ValueError(f"truncated must be true or false, not {truncated!r}")
     explanations = tuple(PartialAssignment.from_dict(query.theory, item) for item in items)
-    return ExplanationSet(
-        kind=str(raw["kind"]),
-        explanations=explanations,
-        truncated=bool(raw.get("truncated", False)),
-    )
+    if len(set(explanations)) != len(explanations):
+        twice = next(e for k, e in enumerate(explanations) if e in explanations[:k])
+        raise ValueError(f"explanation {twice.to_dict()} is listed twice")
+    return ExplanationSet(kind=kind, explanations=explanations, truncated=truncated)
 
 
 def collect(

@@ -6,16 +6,21 @@ Grammar (loosest binding first):
     or      := and ("|" and)*                    one n-ary node per chain
     and     := unary ("&" unary)*                one n-ary node per chain
     unary   := "!"* ("(" iff ")" | atom)
-    atom    := feature name  [A-Za-z_][A-Za-z0-9_]*
+    atom    := feature name  (letter | digit | "_") (letter | digit | numeric | "_")*
+
+A name's characters are Unicode ones: its first is a letter, a digit or "_"
+(``str.isalpha``, ``str.isdigit``), and the rest are any of those or other
+numeric characters such as "½" (``str.isalnum``).  So "x_1", "3d" and "été"
+are names; "½x" is not.  Tokens are separated by any Unicode white space.
 
 An atom is true when its feature takes the *second* value of its (two-value)
 domain; with the conventional domain ("0", "1") that is "1".
 
 Every connective keeps its operands in one tuple; ``a & b & c`` is one
 ``And`` node, a parenthesised group a node of its own.  Nothing recurses:
-the parser keeps a stack of open groups, ``atoms``, ``str`` and the Tseitin
-transform share one post-order walk, and evaluation stops reading operands
-once the result is settled.
+the parser keeps a stack of open groups, ``atoms`` walks a stack of nodes,
+``str`` and the Tseitin transform share one post-order walk, and evaluation
+stops reading operands once the result is settled.
 
 The module also provides the Tseitin transform to CNF (biconditional
 encoding, deterministic variable numbering: feature i -> variable i+1, then
@@ -26,7 +31,9 @@ external solvers.
 from __future__ import annotations
 
 import math
+import re
 from functools import reduce
+from itertools import islice
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 
@@ -62,7 +69,15 @@ class Formula:
         self.operands = operands
 
     def atoms(self) -> frozenset[str]:
-        return _fold(self, _atoms)
+        names: set[str] = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.operands:
+                stack.extend(node.operands)
+            else:
+                names.add(node.name)
+        return frozenset(names)
 
     def __str__(self) -> str:
         return _fold(self, _render)
@@ -101,24 +116,27 @@ class Iff(Formula):
     __slots__ = ()
 
 
+def _post_order(f: Formula) -> Iterator[Formula]:
+    """Every node of f, operands left to right before their connective,
+    without recursion: the reverse of a pre-order that visits the last
+    operand first."""
+    order = []
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.operands)
+    return reversed(order)
+
+
 def _fold(f: Formula, visit: Callable[[Formula, list], Any]) -> Any:
     """``visit(node, values of its operands)`` for every node of f in
-    post-order, operands left to right, without recursion; f's value."""
+    post-order; f's value."""
     values: list = []
-    stack = [(f, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready or not node.operands:
-            k = len(values) - len(node.operands)
-            values[k:] = [visit(node, values[k:])]
-        else:
-            stack.append((node, True))
-            stack.extend((op, False) for op in reversed(node.operands))
+    for node in _post_order(f):
+        k = len(values) - len(node.operands)
+        values[k:] = [visit(node, values[k:])]
     return values[0]
-
-
-def _atoms(node: Formula, sets: list[frozenset[str]]) -> frozenset[str]:
-    return frozenset((node.name,)) if isinstance(node, Var) else frozenset().union(*sets)
 
 
 _LEVEL = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Var: 6}
@@ -147,40 +165,36 @@ def _render(node: Formula, texts: list[str]) -> str:
 
 # -- parser -------------------------------------------------------------------
 
-_TOKEN_SYMBOLS = ("<->", "->", "&", "|", "!", "(", ")")
+# One token per match: a connective or parenthesis, a name (a run of word
+# characters), or any other single non-space character, which is an error.
+# A pattern string, not a compiled pattern: ``re`` compiles and caches it on
+# the first parse, so importing the module compiles nothing.
+_TOKEN = r"<->|->|[&|!()]|\w+|\S"
+_SYMBOLS = frozenset(("<->", "->", "&", "|", "!", "(", ")"))
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str, int, int]]:
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        for sym in _TOKEN_SYMBOLS:
-            if text.startswith(sym, i):
-                yield ("sym", sym, line, col)
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            if ch.isalpha() or ch == "_" or ch.isdigit():
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                yield ("name", text[i:j], line, col)
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-    yield ("end", "", line, col)
+def _error(message: str, text: str, k: int) -> ParseError:
+    """A ParseError at the k-th token of text, or at its end when text has
+    at most k tokens.  Only here are lines and columns counted: a line ends
+    at "\n", and every other character is one column."""
+    match = next(islice(re.finditer(_TOKEN, text), k, None), None)
+    at = len(text) if match is None else match.start()
+    return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, then "" for its end.  A name starts with a
+    letter, a digit or "_" and goes on over letters, digits, other numeric
+    characters and "_" (``str.isalnum``); any other character outside a
+    name is unexpected, and the first such one is reported."""
+    tokens = re.findall(_TOKEN, text)
+    bad = {t for t in set(tokens) - _SYMBOLS
+           if not (t[0].isalpha() or t[0] == "_" or t[0].isdigit())}
+    if bad:
+        k = next(k for k, t in enumerate(tokens) if t in bad)
+        raise _error(f"unexpected character {tokens[k][0]!r}", text, k)
+    tokens.append("")
+    return tokens
 
 
 # The binary connectives, loosest first; a group keeps one operand list per
@@ -216,30 +230,30 @@ def parse_formula(text: str) -> Formula:
     lists: list[list[Formula]] = [[] for _ in _BINARY]
     nots = 0
     want_operand = True
-    for kind, value, line, col in list(_tokenize(text)):  # character errors first
+    for k, token in enumerate(_tokenize(text)):  # character errors first
         if want_operand:
-            if value == "!":
+            if token == "!":
                 nots += 1
                 continue
-            if value == "(":
+            if token == "(":
                 groups.append((lists, nots))
                 lists, nots = [[] for _ in _BINARY], 0
                 continue
-            if kind != "name":
-                raise ParseError("expected a feature name, '!' or '('", line, col)
-            f: Formula = Var(value)
-        elif value in _BINARY:
-            _close(lists, _BINARY.index(value))
+            if not token or token in _SYMBOLS:
+                raise _error("expected a feature name, '!' or '('", text, k)
+            f: Formula = Var(token)
+        elif token in _BINARY:
+            _close(lists, _BINARY.index(token))
             want_operand = True
             continue
-        elif value == ")" and groups:
+        elif token == ")" and groups:
             f = _group(lists)
             lists, nots = groups.pop()
-        elif kind == "end" and not groups:
+        elif not token and not groups:
             return _group(lists)
         else:
-            message = "expected ')'" if groups else f"unexpected trailing {value!r}"
-            raise ParseError(message, line, col)
+            message = "expected ')'" if groups else f"unexpected trailing {token!r}"
+            raise _error(message, text, k)
         for _ in range(nots):
             f = Not(f)
         lists[-1].append(f)
@@ -313,30 +327,33 @@ def tseitin(
     """
     clauses: list[Clause] = []
     next_var = max(var_of_atom.values(), default=0)
-
-    def gate(node: Formula, lits: list[int]) -> int:
-        nonlocal next_var
-        if isinstance(node, Var):
-            return var_of_atom[node.name]
-        if isinstance(node, Not):
-            return -lits[0]
+    lits: list[int] = []  # one literal per finished operand, innermost last
+    for node in _post_order(f):
+        kind = type(node)
+        if kind is Var:
+            lits.append(var_of_atom[node.name])
+            continue
+        if kind is Not:
+            lits[-1] = -lits[-1]
+            continue
+        n = len(node.operands)
+        ops = lits[-n:]
+        del lits[-n:]
         next_var += 1
         g = next_var
-        if isinstance(node, Iff):
-            a, b = lits
+        if kind is Iff:
+            a, b = ops
             clauses.extend(((-g, -a, b), (-g, a, -b), (g, a, b), (g, -a, -b)))
-        elif isinstance(node, And):
-            clauses.extend((-g, a) for a in lits)
-            clauses.append((g, *(-a for a in lits)))
+        elif kind is And:
+            clauses.extend([(-g, a) for a in ops])
+            clauses.append((g, *[-a for a in ops]))
         else:  # Or, with a -> b read as !a | b
-            if isinstance(node, Implies):
-                lits = [-lits[0], lits[1]]
-            clauses.append((-g, *lits))
-            clauses.extend((g, -a) for a in lits)
-        return g
-
-    root = _fold(f, gate)
-    return clauses, root, next_var
+            if kind is Implies:
+                ops[0] = -ops[0]
+            clauses.append((-g, *ops))
+            clauses.extend([(g, -a) for a in ops])
+        lits.append(g)
+    return clauses, lits[0], next_var
 
 
 def to_dimacs(clauses: list[Clause], n_vars: int, comments: Sequence[str] = ()) -> str:

@@ -26,7 +26,18 @@ from cfexplain import (
     instance_of_rank,
     validate_theory,
 )
-from cfexplain.formulas import And, Iff, Implies, Not, Or, Var
+from cfexplain.formulas import (
+    _BINARY,
+    And,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    ParseError,
+    Var,
+    _close,
+    _group,
+)
 from cfexplain.sat import SatOracle, SatSpace, find_exp, flip_within
 
 
@@ -144,6 +155,129 @@ def reference_evaluate(f, env) -> bool:
     if isinstance(f, Iff):
         return values[0] == values[1]
     raise TypeError(f"not a formula node: {f!r}")
+
+
+_REFERENCE_SYMBOLS = ("<->", "->", "&", "|", "!", "(", ")")
+
+
+def reference_tokenize(text: str):
+    """The character-at-a-time tokenizer: (kind, value, line, column)
+    tokens, then an end token; the reference for ``formulas._tokenize``."""
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        for sym in _REFERENCE_SYMBOLS:
+            if text.startswith(sym, i):
+                yield ("sym", sym, line, col)
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            if ch.isalpha() or ch == "_" or ch.isdigit():
+                j = i
+                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                yield ("name", text[i:j], line, col)
+                col += j - i
+                i = j
+            else:
+                raise ParseError(f"unexpected character {ch!r}", line, col)
+    yield ("end", "", line, col)
+
+
+def reference_parse_formula(text: str):
+    """``parse_formula`` over ``reference_tokenize``'s positioned tokens."""
+    groups = []
+    lists = [[] for _ in _BINARY]
+    nots = 0
+    want_operand = True
+    for kind, value, line, col in list(reference_tokenize(text)):  # character errors first
+        if want_operand:
+            if value == "!":
+                nots += 1
+                continue
+            if value == "(":
+                groups.append((lists, nots))
+                lists, nots = [[] for _ in _BINARY], 0
+                continue
+            if kind != "name":
+                raise ParseError("expected a feature name, '!' or '('", line, col)
+            f = Var(value)
+        elif value in _BINARY:
+            _close(lists, _BINARY.index(value))
+            want_operand = True
+            continue
+        elif value == ")" and groups:
+            f = _group(lists)
+            lists, nots = groups.pop()
+        elif kind == "end" and not groups:
+            return _group(lists)
+        else:
+            message = "expected ')'" if groups else f"unexpected trailing {value!r}"
+            raise ParseError(message, line, col)
+        for _ in range(nots):
+            f = Not(f)
+        lists[-1].append(f)
+        nots = 0
+        want_operand = False
+    raise AssertionError("the token list ends with an end token")
+
+
+def _reference_fold(f, visit):
+    """``visit(node, values of its operands)`` for every node in post-order,
+    by a stack of (node, operands done) pairs."""
+    values: list = []
+    stack = [(f, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready or not node.operands:
+            k = len(values) - len(node.operands)
+            values[k:] = [visit(node, values[k:])]
+        else:
+            stack.append((node, True))
+            stack.extend((op, False) for op in reversed(node.operands))
+    return values[0]
+
+
+def reference_tseitin(f, var_of_atom):
+    """The fold-based biconditional Tseitin transform: (clauses, root
+    literal, variable count); the reference for ``formulas.tseitin``."""
+    clauses = []
+    next_var = max(var_of_atom.values(), default=0)
+
+    def gate(node, lits):
+        nonlocal next_var
+        if isinstance(node, Var):
+            return var_of_atom[node.name]
+        if isinstance(node, Not):
+            return -lits[0]
+        next_var += 1
+        g = next_var
+        if isinstance(node, Iff):
+            a, b = lits
+            clauses.extend(((-g, -a, b), (-g, a, -b), (g, a, b), (g, -a, -b)))
+        elif isinstance(node, And):
+            clauses.extend((-g, a) for a in lits)
+            clauses.append((g, *(-a for a in lits)))
+        else:  # Or, with a -> b read as !a | b
+            if isinstance(node, Implies):
+                lits = [-lits[0], lits[1]]
+            clauses.append((-g, *lits))
+            clauses.extend((g, -a) for a in lits)
+        return g
+
+    root = _reference_fold(f, gate)
+    return clauses, root, next_var
 
 
 def rule_list(rng: random.Random, n_features: int = 12, n_terms: int = 1200, width: int = 8) -> str:

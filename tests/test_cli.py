@@ -388,6 +388,24 @@ def test_explanations_that_are_not_objects_are_a_bad_response(capsys, shape):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("shape, reason", [
+    ("truncated", "truncated must be true or false, not 'no'"),
+    ("kind", "kind must be a string, not ['a']"),
+    ("twice", "explanation {} is listed twice"),
+], ids=["truncated", "kind", "twice"])
+def test_responses_that_would_be_misread_are_a_bad_response(capsys, shape, reason):
+    code, out, err = run_cli(
+        capsys,
+        *audit_args(
+            "--explainer", "constant-blank",
+            "--external", sys.executable, tool("listy_explainer.py"), shape,
+        ),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ExternalExplainerFailure: bad response line: ")
+    assert err.endswith(f"({reason})\n") and err.count("\n") == 1
+
+
 def test_a_stalled_external_explainer_is_killed(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sys.modules["cfexplain.audit"], "RESPONSE_SECONDS", 0.5)
     pid_file = tmp_path / "pid"

@@ -1,6 +1,8 @@
 """The five explainer families against worked-example goldens and their
 definitions, and all nine memberships against the reference checker."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +192,19 @@ def test_json_round_trip():
     got = s_suf(q)
     again = explanation_set_from_json(got.to_json_dict(), q)
     assert again == got
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("truncated", "no", "truncated must be true or false"),
+    ("kind", ["a"], "kind must be a string"),
+    ("explanations", [{"t": "hot"}, {"a": "reading"}, {"t": "hot"}],
+     "explanation {'t': 'hot'} is listed twice"),
+], ids=["truncated", "kind", "twice"])
+def test_json_that_would_be_misread_is_rejected(field, value, reason):
+    q = vac().query(1)
+    raw = {**s_suf(q).to_json_dict(), field: value}
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        explanation_set_from_json(raw, q)
 
 
 def test_is_member_matches_listings():

@@ -1,7 +1,11 @@
 """Boolean formula parsing, evaluation, and CNF translation."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +25,19 @@ from cfexplain.formulas import (
     to_dimacs,
     tseitin,
 )
+from cfexplain import load_bundle
+from cfexplain.classifier import feature_vars
 from cfexplain.sat import dpll
 
-from helpers import brute_sat, random_formula, reference_evaluate
+from helpers import (
+    brute_sat,
+    planted_cnf,
+    random_formula,
+    reference_evaluate,
+    reference_parse_formula,
+    reference_tseitin,
+    rule_list,
+)
 
 
 def envs(names):
@@ -93,6 +107,103 @@ def test_parse_errors_carry_position():
         parse_formula("(a | b")
     with pytest.raises(ParseError):
         parse_formula("a b")
+
+
+# Pieces of formula text, well-formed or not: ASCII, Unicode and digit-led
+# names, "½" (numeric but neither a letter nor a digit), "²" (a digit but not
+# decimal), white space the tokenizer skips ("\r", "\x1c", "\u2028", ...),
+# stray halves of the arrows, and characters outside the grammar.
+FRAGMENTS = (
+    "a", "b_2", "_", "3d", "42", "été", "Ωx", "名前", "x½", "½", "²", "\u0663",
+    " ", "  ", "\t", "\r", "\n", "\r\n", "\x0b", "\x1c", "\xa0", "\u2028",
+    "<", "-", ">", "<-", "<->", "->", "-->", "&", "|", "!", "(", ")", "@", "$", "\x00",
+)
+SPACES = st.sampled_from(("", " ", "\t", "\n", "\r", "\r\n", "\x1c", "\u2028"))
+
+
+@st.composite
+def formula_texts(draw):
+    """Text that parses (a rendered random formula, its spaces redrawn),
+    text that is cut or spliced, deep "(" and "!" nests, or loose pieces."""
+    shape = draw(st.sampled_from(("valid", "spliced", "nest", "pieces")))
+    if shape == "pieces":
+        return "".join(draw(st.lists(st.sampled_from(FRAGMENTS), max_size=24)))
+    rng = draw(st.randoms(use_true_random=False))
+    f = random_formula(rng, ["a", "b_2", "3d", "été", "名前"], depth=3)
+    parts = str(f).split(" ")  # spaces stand only around binary connectives
+    text = parts[0] + "".join(draw(SPACES) + part for part in parts[1:])
+    if shape == "spliced":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(FRAGMENTS)) + text[at + draw(st.integers(0, 3)):]
+    elif shape == "nest":
+        opener = draw(st.sampled_from(("(", "!", "(!", "!(")))
+        depth = draw(st.integers(1, 400))
+        closer = ")" * draw(st.integers(0, depth * opener.count("(") + 1))
+        text = opener * depth + text + closer
+    return text
+
+
+def outcome(parse, text):
+    """The tree as printed, or the error's text and position."""
+    try:
+        return str(parse(text))
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.column)
+
+
+@given(formula_texts())
+@settings(max_examples=300, deadline=None)
+def test_parsing_answers_as_the_character_tokenizer(text):
+    assert outcome(parse_formula, text) == outcome(reference_parse_formula, text)
+
+
+@pytest.mark.parametrize("text", [
+    "a &\n& b", "a\r\n  @", "½x", "x½ & ²", "a <- b", "a - > b", "(a | b", "a b", "a )",
+    "\u2028\u2028a\x1c&", "", "   \n ", "!" * 50 + "(" * 50,
+])
+def test_parse_errors_and_trees_are_the_references(text):
+    assert outcome(parse_formula, text) == outcome(reference_parse_formula, text)
+
+
+def test_importing_cfexplain_compiles_no_pattern():
+    """Importing the package compiles no regular expression: ``re`` compiles
+    the tokenizer's pattern on the first parse, not at import."""
+    probe = """
+import re, sys, types
+import cfexplain, cfexplain.cli
+seen, found = set(), []
+def walk(value, where):
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, re.Pattern):
+        found.append(where)
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for item in value:
+            walk(item, where)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            walk(key, where)
+            walk(item, f"{where}[{key!r}]")
+    elif isinstance(value, type) and value.__module__.startswith("cfexplain"):
+        walk(dict(vars(value)), where)
+    elif isinstance(value, types.FunctionType) and value.__module__.startswith("cfexplain"):
+        walk(value.__defaults__ or (), where)
+        walk(value.__kwdefaults__ or {}, where)
+        walk([cell.cell_contents for cell in value.__closure__ or ()], where)
+modules = sorted(name for name in sys.modules if name.split(".")[0] == "cfexplain")
+for name in modules:
+    walk(dict(vars(sys.modules[name])), name)
+print(len(modules), found)
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    count, found = proc.stdout.split(" ", 1)
+    assert int(count) >= 10 and found.strip() == "[]", proc.stdout
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -180,6 +291,29 @@ def test_tseitin_variable_layout():
     assert n_vars == 3
 
 
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_tseitin_emits_the_reference_encoding(rng):
+    names = ["a", "b", "c", "d"]
+    f = random_formula(rng, names, depth=4)
+    var_of = dict(zip(names, rng.sample(range(1, 9), 4)))  # any numbering, gaps too
+    assert tseitin(f, var_of) == reference_tseitin(f, var_of)
+
+
+def test_tseitin_emits_the_reference_encoding_on_fixtures_and_generated_formulas():
+    majority = load_bundle("majority")
+    cases = [(majority.classifier.formula, feature_vars(majority.theory))]
+    rng = random.Random(22)
+    var_of = {f"f{i + 1}": i + 1 for i in range(40)}
+    for text in (rule_list(rng, n_terms=60), rule_list(rng, n_features=40, n_terms=30, width=5),
+                 planted_cnf(rng, 12, 50), planted_cnf(rng, 40, 170)):
+        cases.append((parse_formula(text), var_of))
+    for f, var_of in cases:
+        got = tseitin(f, var_of)
+        assert got == reference_tseitin(f, var_of)
+        assert got[0], "the cases have connectives"
+
+
 def test_to_dimacs_golden():
     text = to_dimacs([(1, -2), (2,)], 2, comments=["note"])
     assert text == "c note\np cnf 2 2\n1 -2 0\n2 0\n"
@@ -260,6 +394,25 @@ def test_deep_chains_need_no_recursion(connective):
     assert len(clauses) == per_gate * DEPTH
     assert n_vars == 12 + (0 if connective == "!" else DEPTH)
     assert root == (1 if connective == "!" else n_vars)
+
+
+WIDE = 100_000
+
+
+def test_hundred_thousand_deep_and_wide_formulas():
+    deep = "!" * WIDE + "a"
+    f = parse_formula(deep)
+    assert f.atoms() == {"a"} and str(f) == deep
+    assert tseitin(f, {"a": 1}) == ([], 1, 1)  # an even number of negations
+    names = [f"f{i % 12 + 1}" for i in range(WIDE)]
+    wide = " & ".join(names)
+    f = parse_formula(wide)
+    assert isinstance(f, And) and len(f.operands) == WIDE
+    assert f.atoms() == set(names) and str(f) == wide
+    var_of = {f"f{i + 1}": i + 1 for i in range(12)}
+    clauses, root, n_vars = tseitin(f, var_of)
+    assert (root, n_vars, len(clauses)) == (13, 13, WIDE + 1)
+    assert clauses[-1] == (13, *(-var_of[n] for n in names))
 
 
 def test_deep_parentheses_parse_and_print_back():
