@@ -34,7 +34,7 @@ import selectors
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .bundles import load_bundle
 from .classifier import (
@@ -428,17 +428,6 @@ def classify_family(explainer: Explainer, suite: Sequence[Query]) -> FamilyRepor
 
 # -- impossibility witnesses -------------------------------------------------------
 
-IMPOSSIBILITY_SETS: dict[str, tuple[str, ...]] = {
-    "I1": ("Success", "NonTriviality", "Coreness"),
-    "I2": ("Success", "Feasibility", "ScepticalValidity"),
-    "I3": ("Success", "Novelty", "StrongValidity"),
-    "I4": ("Success", "NonTriviality", "Feasibility", "Novelty"),
-    "I5": ("Success", "Feasibility", "WeakValidity"),
-    "I6": ("Success", "NonTriviality", "Equivalence", "Feasibility"),
-    "I7": ("Success", "NonTriviality", "Equivalence", "Novelty"),
-}
-
-
 @dataclass(frozen=True)
 class ImpossibilityWitness:
     set_id: str
@@ -507,106 +496,99 @@ def _parity_pair() -> tuple[Query, Query]:
     return q1, q2
 
 
-def impossibility_witness(set_id: str) -> ImpossibilityWitness:
-    set_id = set_id.upper()
-    if set_id not in IMPOSSIBILITY_SETS:
-        raise KeyError(f"unknown impossibility set {set_id!r} (I1..I7)")
-    axioms = IMPOSSIBILITY_SETS[set_id]
-    if set_id == "I1":
-        query = load_bundle("vacation").query(2)
-        narrative = (
-            "The class of this instance has an empty core, so a nonempty "
-            "core-contained explanation cannot exist: Non-Triviality plus "
-            "Coreness force the empty set, against Success."
-        )
-        return ImpossibilityWitness(set_id, axioms, query, narrative)
-    if set_id == "I2":
-        query = _lone_positive_query((0, 0))
-        narrative = (
-            "Every part of x has an exact-change variant that keeps the "
-            "class, so nothing feasible passes the sceptical test: "
-            "Feasibility plus Sceptical Validity force the empty set, "
-            "against Success."
-        )
-        return ImpossibilityWitness(set_id, axioms, query, narrative)
-    if set_id == "I3":
-        query = _lone_positive_query((1, 1))
-        narrative = (
-            "The only assignment all of whose extensions change the class "
-            "shares a literal with x, so nothing novel passes the strong "
-            "test: Novelty plus Strong Validity force the empty set, "
-            "against Success."
-        )
-        return ImpossibilityWitness(set_id, axioms, query, narrative)
-    if set_id == "I4":
-        query = load_bundle("vacation").query(1)
-        narrative = (
-            "An explanation both part of x (Feasibility) and sharing "
-            "nothing with x (Novelty) must be empty, against "
-            "Non-Triviality — so the set is empty, against Success."
-        )
-        return ImpossibilityWitness(set_id, axioms, query, narrative)
-    if set_id == "I5":
-        query = load_bundle("vacation").query(1)
-        narrative = (
-            "Overwriting x with a part of itself changes nothing, so "
-            "Feasibility makes Weak Validity unsatisfiable — the set is "
-            "empty, against Success."
-        )
-        return ImpossibilityWitness(set_id, axioms, query, narrative)
-    q1, q2 = _parity_pair()
-    if set_id == "I6":
-        narrative = (
-            "Two same-class instances share no literal, and Equivalence "
-            "forces them to share explanations; Feasibility then bounds "
-            "every explanation by both instances, i.e. by nothing — "
-            "against Non-Triviality and Success."
-        )
-    else:
-        narrative = (
-            "Two same-class instances jointly use every feature value, and "
-            "Equivalence forces shared explanations; Novelty then forbids "
-            "every literal — against Non-Triviality and Success."
-        )
-    return ImpossibilityWitness(set_id, axioms, q1, narrative, other_query=q2)
+class _Impossibility(NamedTuple):
+    axioms: tuple[str, ...]
+    queries: Callable[[], tuple[Query, ...]]  # the witness query, or a same-class pair
+    narrative: str
+    trace: str  # of the confirmed conflict; {subsets} is the number of parts of x
 
 
-# The trace of each confirmed conflict; {subsets} is the number of parts of x.
-_CONFLICT_TRACES = {
-    "I1": (
+_IMPOSSIBILITIES = {
+    "I1": _Impossibility(
+        ("Success", "NonTriviality", "Coreness"),
+        lambda: (load_bundle("vacation").query(2),),
+        "The class of this instance has an empty core, so a nonempty "
+        "core-contained explanation cannot exist: Non-Triviality plus "
+        "Coreness force the empty set, against Success.",
         "core of the class is empty; NonTriviality+Coreness admit no "
-        "explanation, so Success must fail"
+        "explanation, so Success must fail",
     ),
-    "I2": (
+    "I2": _Impossibility(
+        ("Success", "Feasibility", "ScepticalValidity"),
+        lambda: (_lone_positive_query((0, 0)),),
+        "Every part of x has an exact-change variant that keeps the "
+        "class, so nothing feasible passes the sceptical test: "
+        "Feasibility plus Sceptical Validity force the empty set, "
+        "against Success.",
         "every part of x (all {subsets} subsets) has an exact-change variant "
         "keeping the class; Feasibility+ScepticalValidity admit no "
-        "explanation, so Success must fail"
+        "explanation, so Success must fail",
     ),
-    "I3": (
+    "I3": _Impossibility(
+        ("Success", "Novelty", "StrongValidity"),
+        lambda: (_lone_positive_query((1, 1)),),
+        "The only assignment all of whose extensions change the class "
+        "shares a literal with x, so nothing novel passes the strong "
+        "test: Novelty plus Strong Validity force the empty set, "
+        "against Success.",
         "every assignment sharing nothing with x has an extension keeping "
         "the class; Novelty+StrongValidity admit no explanation, so Success "
-        "must fail"
+        "must fail",
     ),
-    "I4": (
+    "I4": _Impossibility(
+        ("Success", "NonTriviality", "Feasibility", "Novelty"),
+        lambda: (load_bundle("vacation").query(1),),
+        "An explanation both part of x (Feasibility) and sharing "
+        "nothing with x (Novelty) must be empty, against "
+        "Non-Triviality — so the set is empty, against Success.",
         "no nonempty assignment is both part of x and disjoint from x; "
         "Feasibility+Novelty+NonTriviality admit no explanation, so Success "
-        "must fail"
+        "must fail",
     ),
-    "I5": (
+    "I5": _Impossibility(
+        ("Success", "Feasibility", "WeakValidity"),
+        lambda: (load_bundle("vacation").query(1),),
+        "Overwriting x with a part of itself changes nothing, so "
+        "Feasibility makes Weak Validity unsatisfiable — the set is "
+        "empty, against Success.",
         "overwriting x with any of its own parts keeps the class; "
-        "Feasibility+WeakValidity admit no explanation, so Success must fail"
+        "Feasibility+WeakValidity admit no explanation, so Success must fail",
     ),
-    "I6": (
+    "I6": _Impossibility(
+        ("Success", "NonTriviality", "Equivalence", "Feasibility"),
+        _parity_pair,
+        "Two same-class instances share no literal, and Equivalence "
+        "forces them to share explanations; Feasibility then bounds "
+        "every explanation by both instances, i.e. by nothing — "
+        "against Non-Triviality and Success.",
         "same-class instances sharing no literal: Equivalence makes the sets "
         "equal, Feasibility bounds members by both instances, leaving only "
-        "the empty assignment, against NonTriviality and Success"
+        "the empty assignment, against NonTriviality and Success",
     ),
-    "I7": (
+    "I7": _Impossibility(
+        ("Success", "NonTriviality", "Equivalence", "Novelty"),
+        _parity_pair,
+        "Two same-class instances jointly use every feature value, and "
+        "Equivalence forces shared explanations; Novelty then forbids "
+        "every literal — against Non-Triviality and Success.",
         "the two same-class instances jointly use every feature value: "
         "Equivalence makes the sets equal, Novelty forbids every literal, "
-        "leaving only the empty assignment, against NonTriviality and Success"
+        "leaving only the empty assignment, against NonTriviality and Success",
     ),
 }
+
+IMPOSSIBILITY_SETS: dict[str, tuple[str, ...]] = {
+    set_id: entry.axioms for set_id, entry in _IMPOSSIBILITIES.items()
+}
+
+
+def impossibility_witness(set_id: str) -> ImpossibilityWitness:
+    set_id = set_id.upper()
+    if set_id not in _IMPOSSIBILITIES:
+        raise KeyError(f"unknown impossibility set {set_id!r} (I1..I7)")
+    axioms, queries, narrative, _ = _IMPOSSIBILITIES[set_id]
+    query, *other = queries()
+    return ImpossibilityWitness(set_id, axioms, query, narrative, *other)
 
 
 def check_impossibility(witness: ImpossibilityWitness) -> tuple[bool, str]:
@@ -629,7 +611,7 @@ def check_impossibility(witness: ImpossibilityWitness) -> tuple[bool, str]:
     for e in enumerate_partial_assignments(witness.query.theory):
         if not any(AXIOM_TESTS[a](q.space, q, e) for q in queries for a in axioms):
             return False, f"{e.render()} passes {'+'.join(axioms)} on every witness query"
-    trace = _CONFLICT_TRACES[witness.set_id]
+    trace = _IMPOSSIBILITIES[witness.set_id].trace
     return True, trace.format(subsets=2 ** witness.query.instance.size)
 
 

@@ -18,9 +18,9 @@ domain; with the conventional domain ("0", "1") that is "1".
 
 Every connective keeps its operands in one tuple; ``a & b & c`` is one
 ``And`` node, a parenthesised group a node of its own.  Nothing recurses:
-the parser keeps a stack of open groups, ``atoms`` walks a stack of nodes,
-``str`` and the Tseitin transform share one post-order walk, and evaluation
-stops reading operands once the result is settled.
+the parser keeps a stack of open groups, ``atoms`` and ``str`` walk a stack
+of nodes, the Tseitin transform walks the nodes in post-order, and
+evaluation stops reading operands once the result is settled.
 
 The module also provides the Tseitin transform to CNF (biconditional
 encoding, deterministic variable numbering: feature i -> variable i+1, then
@@ -34,7 +34,7 @@ import math
 import re
 from functools import reduce
 from itertools import islice
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -80,7 +80,40 @@ class Formula:
         return frozenset(names)
 
     def __str__(self) -> str:
-        return _fold(self, _render)
+        """Minimal-paren rendering that parses back to the same tree, save
+        that a first operand of the same ``&`` or ``|`` joins its parent's
+        chain.
+
+        An operand prints bare only where the parser would rebuild the same
+        shape: the first operand of ``&``, ``|`` and the left-associative
+        ``<->``, the second of the right-associative ``->``, the operand of
+        ``!``, and any strictly tighter-binding operand.  One stack walk
+        emits the pieces, which are joined once.
+        """
+        pieces: list[str] = []
+        stack: list = [(self, 0)]  # pieces still to emit, and (node, least bare level) pairs
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                pieces.append(item)
+                continue
+            node, least = item
+            level = _LEVEL[type(node)]
+            if level < least:
+                pieces.append("(")
+                stack.append(")")
+            if isinstance(node, Var):
+                pieces.append(node.name)
+            elif isinstance(node, Not):
+                pieces.append("!")
+                stack.append((node.operands[0], level))
+            else:
+                first, rest = (level + 1, level) if isinstance(node, Implies) else (level, level + 1)
+                symbol = _SYMBOL[type(node)]
+                for op in reversed(node.operands[1:]):
+                    stack += (op, rest), symbol
+                stack.append((node.operands[0], first))
+        return "".join(pieces)
 
 
 class Var(Formula):
@@ -129,38 +162,8 @@ def _post_order(f: Formula) -> Iterator[Formula]:
     return reversed(order)
 
 
-def _fold(f: Formula, visit: Callable[[Formula, list], Any]) -> Any:
-    """``visit(node, values of its operands)`` for every node of f in
-    post-order; f's value."""
-    values: list = []
-    for node in _post_order(f):
-        k = len(values) - len(node.operands)
-        values[k:] = [visit(node, values[k:])]
-    return values[0]
-
-
 _LEVEL = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Var: 6}
 _SYMBOL = {Iff: " <-> ", Implies: " -> ", Or: " | ", And: " & "}
-
-
-def _render(node: Formula, texts: list[str]) -> str:
-    """Minimal-paren rendering that parses back to the same tree, save
-    that a first operand of the same ``&`` or ``|`` joins its parent's chain.
-
-    An operand prints bare only where the parser would rebuild the same
-    shape: the first operand of ``&``, ``|`` and the left-associative
-    ``<->``, the second of the right-associative ``->``, the operand of
-    ``!``, and any strictly tighter-binding operand.
-    """
-    if isinstance(node, Var):
-        return node.name
-    level = _LEVEL[type(node)]
-    first, rest = (level + 1, level) if isinstance(node, Implies) else (level, level + 1)
-    texts = [
-        text if _LEVEL[type(op)] >= (rest if k else first) else f"({text})"
-        for k, (op, text) in enumerate(zip(node.operands, texts))
-    ]
-    return "!" + texts[0] if isinstance(node, Not) else _SYMBOL[type(node)].join(texts)
 
 
 # -- parser -------------------------------------------------------------------

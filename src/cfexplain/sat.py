@@ -16,7 +16,9 @@ search reduce to a handful of satisfiability calls instead of enumeration:
 Every call is the classifier's cached CNF (``FormulaClassifier.encoding``),
 the class's literal as a unit, then the call's own units or counter.  The
 built-in solver indexes the cached CNF once per classifier
-(``FormulaClassifier.clause_index``) and each call's own clauses per call.
+(``FormulaClassifier.clause_index``, read-only once built) and each call's
+own clauses per call, in a copy of the index's lists that the call alone
+holds.
 
 The oracle itself is pluggable: a deterministic built-in DPLL (fixed
 branching: ascending variable index, true first, chronological
@@ -35,7 +37,6 @@ from __future__ import annotations
 import math
 import subprocess
 import tempfile
-import threading
 from itertools import combinations, islice
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -79,52 +80,45 @@ class ClauseIndex:
     """The occurrence lists of a clause list, by literal, for ``dpll``.
 
     ``FormulaClassifier.clause_index`` keeps one over the classifier's
-    encoding, so those clauses are indexed once per classifier.  A solver
-    call adds its own clauses after the kept ones (``add``) and takes them
-    out again when it ends (``remove``), which leaves the kept state as it
-    was.  A solver call holds ``lock`` from ``add`` to ``remove``, so calls
-    on one classifier from several threads take turns.
+    encoding, so those clauses are indexed once per classifier.  The index
+    is built once and never written to: its occurrence lists, clause widths
+    and unit literals are tuples.  A solver call indexes its own clauses
+    after the kept ones in lists of its own (``extended``), so calls from
+    several threads share the index without taking turns.
     """
 
     def __init__(self, clauses: Sequence[Clause] = (), n_vars: int = 0):
-        self.occurs: list[list[int]] = [[]]  # by literal, negative ones from the end
-        self.size: list[int] = []  # clause widths, by position in the clause list
-        self.units: list[int] = []  # the literals of the unit clauses, in clause order
-        self.n_vars = 0
-        self.lock = threading.Lock()
-        self.add(clauses, n_vars)
-        self.clauses, self.n_vars = clauses, n_vars
-        self.count, self.n_units = len(clauses), len(self.units)
+        # occurrences by literal (negative ones from the end), clause widths
+        # by position, and the literals of the unit clauses in clause order
+        self.occurs, self.size, self.units = ((),), (), ()
+        self.n_vars = self.count = 0
+        self.occurs, self.size, self.units = map(tuple, self.extended(clauses, n_vars))
+        self.clauses, self.n_vars, self.count = clauses, n_vars, len(clauses)
 
-    def __reduce__(self):
-        """Copies and pickles rebuild the kept state; a lock does not pickle."""
-        return ClauseIndex, (self.clauses, self.n_vars)
-
-    def add(self, clauses: Sequence[Clause], n_vars: int) -> None:
-        """Index the clauses after the kept ones, over at least n_vars
-        variables.  Raises ValueError, adding nothing, when a literal is 0
-        or names a variable above n_vars."""
-        lits = {lit for clause in clauses for lit in clause}
+    def extended(
+        self, extra: Sequence[Clause], n_vars: int
+    ) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+        """The occurrence lists, clause widths and unit literals of the kept
+        clauses then `extra`, over n_vars variables (at least the index's),
+        as new lists; the index is unchanged.  Untouched occurrence lists are
+        shared with the index, and each literal of `extra` gets a new one.
+        Raises ValueError, before any other work, when a literal is 0 or
+        names a variable above n_vars."""
+        lits = {lit for clause in extra for lit in clause}
         if lits and (0 in lits or max(lits) > n_vars or min(lits) < -n_vars):
             raise ValueError(f"a clause holds a literal naming no variable in 1..{n_vars}")
-        occurs, top = self.occurs, self.n_vars
-        if n_vars > top:  # new slots between the positive and the negative literals
-            occurs[top + 1 : top + 1] = [[] for _ in range(2 * (n_vars - top))]
-        for ci, clause in enumerate(clauses, len(self.size)):
+        occurs, top = list(self.occurs), self.n_vars
+        # the new variables' slots go between the positive and the negative literals
+        occurs[top + 1 : top + 1] = [()] * (2 * (n_vars - top))
+        added: dict[int, list[int]] = {lit: [] for lit in lits}
+        for ci, clause in enumerate(extra, self.count):
             for lit in clause:
-                occurs[lit].append(ci)
-        self.size += map(len, clauses)
-        self.units += [clause[0] for clause in clauses if len(clause) == 1]
-
-    def remove(self, clauses: Sequence[Clause]) -> None:
-        """Take out the clauses added since the kept state, back to it."""
-        occurs, count, top = self.occurs, self.count, self.n_vars
-        for lit in {lit for clause in clauses for lit in clause}:
-            held = occurs[lit]
-            while held and held[-1] >= count:  # added occurrences come last
-                held.pop()
-        del occurs[top + 1 : len(occurs) - top]
-        del self.size[count:], self.units[self.n_units :]
+                added[lit].append(ci)
+        for lit, held in added.items():
+            occurs[lit] += tuple(held)
+        size = [*self.size, *map(len, extra)]
+        units = [*self.units, *(clause[0] for clause in extra if len(clause) == 1)]
+        return occurs, size, units
 
 
 class IndexedClauses(list):
@@ -158,10 +152,11 @@ def dpll(clauses: Sequence[Clause], n_vars: int) -> Optional[tuple[bool, ...]]:
     on the order of propagation, so the search tree and the model are those
     of the plain recursive formulation.
 
-    The occurrence lists come from a ``ClauseIndex``.  For
-    ``IndexedClauses`` it is the kept index, and only the call's own
-    clauses are added to it, and removed again when the call ends; any
-    other clause list is indexed whole in a fresh index that is not kept.
+    The occurrence lists are a ``ClauseIndex`` extended by the rest of the
+    clause list (``ClauseIndex.extended``).  For ``IndexedClauses`` the
+    index is the kept one, and the rest is the call's own clauses; for any
+    other clause list it is an empty index, and the rest is the whole list.
+    The kept index is read, never written.
 
     Raises ValueError when a literal is 0 or names a variable above n_vars.
     """
@@ -170,20 +165,18 @@ def dpll(clauses: Sequence[Clause], n_vars: int) -> Optional[tuple[bool, ...]]:
     kept = clauses.kept if isinstance(clauses, IndexedClauses) else None
     if kept is None or kept.n_vars > n_vars:  # fewer variables: the kept clauses get checked too
         kept = ClauseIndex()
-    extra = clauses[kept.count :]
-    with kept.lock:
-        kept.add(extra, n_vars)
-        try:
-            return _search(clauses, n_vars, kept)
-        finally:
-            kept.remove(extra)
+    return _search(clauses, n_vars, *kept.extended(clauses[kept.count :], n_vars))
 
 
 def _search(
-    clauses: Sequence[Clause], n_vars: int, index: ClauseIndex
+    clauses: Sequence[Clause],
+    n_vars: int,
+    occurs: Sequence[Sequence[int]],
+    size: Sequence[int],
+    units: Sequence[int],
 ) -> Optional[tuple[bool, ...]]:
-    """The DPLL search over clauses that the index holds, position by position."""
-    occurs, size = index.occurs, index.size
+    """The DPLL search over the clauses, given their occurrence lists by
+    literal, their widths and their unit literals, position by position."""
     value = [0] * (2 * n_vars + 1)  # by literal: 1 true, -1 false, 0 open
     n_true = [0] * len(size)
     n_false = [0] * len(size)
@@ -230,7 +223,7 @@ def _search(
                     assign(next(other for other in clauses[ci] if not value[other]))
         return True
 
-    for lit in index.units:
+    for lit in units:
         if not value[lit]:
             assign(lit)
     head = 0

@@ -249,6 +249,30 @@ def _reference_fold(f, visit):
     return values[0]
 
 
+_REFERENCE_LEVEL = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Var: 6}
+_REFERENCE_SYMBOL = {Iff: " <-> ", Implies: " -> ", Or: " | ", And: " & "}
+
+
+def _reference_render_node(node, texts):
+    """A node's text from its operands' texts, each in parentheses unless
+    it binds tighter or sits where the parser rebuilds the same shape."""
+    if isinstance(node, Var):
+        return node.name
+    level = _REFERENCE_LEVEL[type(node)]
+    first, rest = (level + 1, level) if isinstance(node, Implies) else (level, level + 1)
+    texts = [
+        text if _REFERENCE_LEVEL[type(op)] >= (rest if k else first) else f"({text})"
+        for k, (op, text) in enumerate(zip(node.operands, texts))
+    ]
+    return "!" + texts[0] if isinstance(node, Not) else _REFERENCE_SYMBOL[type(node)].join(texts)
+
+
+def reference_render(f) -> str:
+    """The text of f, folded up from its operands' texts (each level copies
+    its operands' whole text); the reference for ``str`` of a formula."""
+    return _reference_fold(f, _reference_render_node)
+
+
 def reference_tseitin(f, var_of_atom):
     """The fold-based biconditional Tseitin transform: (clauses, root
     literal, variable count); the reference for ``formulas.tseitin``."""

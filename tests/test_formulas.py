@@ -36,6 +36,7 @@ from helpers import (
     random_formula,
     reference_evaluate,
     reference_parse_formula,
+    reference_render,
     reference_tseitin,
     rule_list,
 )
@@ -324,6 +325,13 @@ def test_to_dimacs_golden():
 # -- n-ary chains, rendering, deep input ----------------------------------------
 
 
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_str_is_the_reference_rendering(rng):
+    f = random_formula(rng, ["a", "b", "c", "d"], depth=rng.randint(1, 6))
+    assert str(f) == reference_render(f)
+
+
 def test_chains_are_single_connectives_and_groups_stay_nodes():
     f = parse_formula("a & b & !c")
     assert isinstance(f, And) and len(f.operands) == 3
@@ -415,6 +423,10 @@ def test_hundred_thousand_deep_and_wide_formulas():
     clauses, root, n_vars = tseitin(f, var_of)
     assert (root, n_vars, len(clauses)) == (13, 13, WIDE + 1)
     assert clauses[-1] == (13, *(-var_of[n] for n in names))
+    f = Var("c")
+    for i in range(WIDE):  # every `|` level under an `&` is parenthesised
+        f = And(Var("a"), f) if i % 2 else Or(Var("b"), f)
+    assert str(f) == "a & (b | " * (WIDE // 2) + "c" + ")" * (WIDE // 2)
 
 
 def test_deep_parentheses_parse_and_print_back():

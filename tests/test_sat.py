@@ -9,6 +9,8 @@ import threading
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfexplain import (
     BackendFailure,
@@ -45,7 +47,7 @@ from cfexplain import formulas as formulas_module
 from cfexplain import sat as sat_module
 from cfexplain.explain import AXIOM_TESTS
 from cfexplain.formulas import evaluate, parse_formula, tseitin
-from cfexplain.sat import SatSpace, _class_model
+from cfexplain.sat import ClauseIndex, IndexedClauses, SatSpace, _class_model
 
 from conftest import tool
 from helpers import (
@@ -571,7 +573,7 @@ def index_state(index):
         list(index.units),
         index.n_vars,
         index.count,
-        index.n_units,
+        len(index.units),
     )
 
 
@@ -608,6 +610,48 @@ def test_the_shared_clause_index_is_restored_after_every_call():
             _class_model(clf, own if step % 2 else -own, oracle, stray)
         assert index_state(index) == kept, step
     assert index_state(pickle.loads(pickle.dumps(clf)).clause_index) == kept
+
+
+def cnfs(n: int):
+    """Clause lists over variables 1..n, with units, repeated literals such
+    as (1, 1) and tautologies such as (1, -1)."""
+    if not n:
+        return st.just([])
+    lit = st.integers(-n, n).filter(bool)
+    clause = st.one_of(
+        st.tuples(lit),
+        st.lists(lit, min_size=2, max_size=4).map(tuple),
+        lit.map(lambda a: (a, a)),
+        lit.map(lambda a: (a, -a)),
+    )
+    return st.lists(clause, max_size=10)
+
+
+@st.composite
+def split_cnfs(draw):
+    """A CNF over n0 variables cut at a random point, and k more variables
+    that the clauses after the cut may name, as a counter's do."""
+    n0, k = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    clauses = draw(cnfs(n0))
+    cut = draw(st.integers(0, len(clauses)))
+    more = draw(cnfs(n0 + k))
+    stray = draw(st.sampled_from((0, n0 + k + 1, -(n0 + k + 1))))
+    return clauses[:cut], clauses[cut:] + more, n0, n0 + k, stray
+
+
+@given(split_cnfs(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_an_index_extended_by_the_rest_of_a_split_cnf_solves_the_whole(split, rng):
+    prefix, suffix, n0, n, stray = split
+    index = ClauseIndex(prefix, n0)
+    kept = index_state(index)
+    assert dpll(IndexedClauses(index, suffix), n) == reference_dpll(prefix + suffix, n)
+    assert index_state(index) == kept
+    wrong = list(suffix)
+    wrong.insert(rng.randint(0, len(wrong)), (stray,) if rng.random() < 0.5 else (1, stray))
+    with pytest.raises(ValueError):
+        dpll(IndexedClauses(index, wrong), n)
+    assert index_state(index) == kept
 
 
 def test_a_solved_classifier_is_not_retained():
