@@ -629,11 +629,9 @@ def constant_blank(query: Query) -> ExplanationSet:
 
 
 def old_values(query: Query) -> ExplanationSet:
-    """The parts of x overwritten by each differently-classified instance."""
-    x = query.instance
-    found = {x.difference(y) for y in query.space.others()}
-    ordered = tuple(sorted(found, key=PartialAssignment.sort_key))
-    return ExplanationSet("old-values", ordered)
+    """The parts of x overwritten by each differently-classified instance,
+    { x \\ y : y of another class }, walked by ``MaskSpace.parts``."""
+    return ExplanationSet("old-values", tuple(query.space.parts(query.instance, outside=True)))
 
 
 @dataclass(frozen=True)

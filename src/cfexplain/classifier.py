@@ -26,6 +26,7 @@ import io
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, product
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -496,11 +497,11 @@ def class_view(classifier: Classifier) -> ClassView:
 # about the instance space.  A space answers each with its offenders, falsy
 # when the condition holds: ``MaskSpace`` with a mask over instance ranks, and
 # ``sat.SatSpace`` with one oracle call and a witness instance or None.  Every
-# membership test, every axiom check and the sNec, gSuf and sSuf listings ask
-# a space, and no membership test re-derives them.  ``MaskSpace`` also walks
-# the other-class instances: as flips of x, layer by Hamming layer (the cSuf,
-# featMin, cardMin and hamming distMin listings), and in rank order (weighted
-# distMin, the old-values witness).
+# membership test and axiom check asks a space, one question per candidate.
+# ``MaskSpace`` also lists: gSuf, sSuf, sNec and old-values are one mask walk
+# (``_walk``), and x's flips come layer by Hamming layer (the cSuf, featMin,
+# cardMin and hamming distMin listings).  Weighted distMin reads the
+# other-class instances in rank order.
 
 
 class MaskSpace:
@@ -541,6 +542,64 @@ class MaskSpace:
         for layer in self.view.distance_layers(x)[: k + 1]:
             near |= layer
         return near & ~self.cmask
+
+    def unextended(self, x: Optional[PartialAssignment] = None) -> Iterator[PartialAssignment]:
+        """The nonempty assignments that no instance of the class extends
+        (gSuf); given x, only those using values other than x's (sSuf)."""
+        view = self.view
+        skip = (None,) * len(view.value_masks) if x is None else x.values
+        choices = [
+            [(v, m, v * stride) for v, m in enumerate(masks) if v != xv]
+            for masks, xv, stride in zip(view.value_masks, skip, view.theory.strides)
+        ]
+        return self._walk(choices, [self.cmask] * (len(choices) + 1), True)
+
+    def parts(self, x: PartialAssignment, outside: bool = False) -> Iterator[PartialAssignment]:
+        """The nonempty parts e of x that no instance of the class varies
+        exactly on Feat(e) (sNec); with ``outside``, those that some instance
+        of another class does (old-values).  An instance varies x exactly on
+        k features when it lies on Hamming layer k and differs on each."""
+        mask = self.view.full_mask & ~self.cmask if outside else self.cmask
+        starts = [mask & layer for layer in self.view.distance_layers(x)]
+        choices = [[(v, ~masks[v], 0)] for masks, v in zip(self.view.value_masks, x.values)]
+        return self._walk(choices, starts, not outside)
+
+    def _walk(self, choices: list, starts: list[int], empty: bool) -> Iterator[PartialAssignment]:
+        """The nonempty assignments giving each feature i a value of
+        ``choices[i]``, in canonical order, kept when ``starts[k]`` ANDed with
+        their values' masks is empty (``empty``) or not, k being their size.
+
+        A choice is (value, mask, shift).  Depth first, one feature set at a
+        time, the mask is carried down the choice of values, one AND a step;
+        once a prefix's mask is empty, every completion is kept untested
+        (``empty``) or none is.  While features 0..i each hold one value, the
+        mask's instances form one block of ranks, and ``shift`` (value times
+        stride; 0 throughout when a mask is not one value's) moves it to rank
+        0.  The later features' masks repeat with a period that divides the
+        shift, so the ANDs below read the short block alone."""
+        theory = self.view.theory
+
+        def extend(feats, depth, mask, values):
+            i, rest = feats[depth], feats[depth + 1:]
+            for v, m, shift in choices[i]:
+                values[i] = v
+                kept = mask & m
+                if not rest:
+                    if (not kept) == empty:
+                        yield PartialAssignment.unchecked(theory, tuple(values))
+                elif kept:
+                    carried = kept >> shift if i == depth else kept
+                    yield from extend(feats, depth + 1, carried, values)
+                elif empty:
+                    for tail in product(*(choices[j] for j in rest)):
+                        for j, (w, _, _) in zip(rest, tail):
+                            values[j] = w
+                        yield PartialAssignment.unchecked(theory, tuple(values))
+
+        positions = [i for i, c in enumerate(choices) if c]
+        for k in range(1, len(positions) + 1):
+            for feats in combinations(positions, k):
+                yield from extend(feats, 0, starts[k], [None] * len(choices))
 
     def others(self) -> Iterator[PartialAssignment]:
         """The instances of the other classes, in rank order."""

@@ -20,7 +20,10 @@ explanations that pass its axioms (``FAMILY_AXIOMS``), each axiom's test
 written once (``AXIOM_TESTS``) and shared by membership, decide and the
 audit.  ``membership`` defines all nine kinds, with the four of ``derived``,
 once.  Enumeration emits the canonical order (size, then assigned features,
-then values) so capped output keeps the smallest explanations.
+then values) so capped output keeps the smallest explanations.  The listings
+do not ask membership of each candidate: gSuf, sSuf and sNec come from one
+depth-first mask walk (``MaskSpace.unextended`` and ``parts``), cSuf from the
+Hamming layers around x, and gNec from the class core.
 """
 
 from __future__ import annotations
@@ -31,14 +34,7 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .classifier import Query, core_literals
-from .theory import (
-    PartialAssignment,
-    enumerate_partial_assignments,
-    hamming,
-    novel_assignments,
-    subsets_of,
-    substitute,
-)
+from .theory import PartialAssignment, hamming, subsets_of, substitute
 
 CORE_KINDS = ("gNec", "sNec", "gSuf", "sSuf", "cSuf")
 DERIVED_KINDS = ("featMin", "cardMin", "distMin", "distCap")
@@ -224,37 +220,18 @@ def g_nec(query: Query, cap: Optional[int] = None) -> ExplanationSet:
 
 
 def s_nec(query: Query, cap: Optional[int] = None) -> ExplanationSet:
-    """Parts of x whose every exact-change variant leaves x's class."""
-    space = query.space
-    x = query.instance
-    candidates = (
-        e
-        for e in subsets_of(x, min_size=1)
-        if not space.variant(x, e)
-    )
-    return collect("sNec", candidates, cap)
+    """Parts of x whose every exact-change variant leaves x's class (``MaskSpace.parts``)."""
+    return collect("sNec", query.space.parts(query.instance), cap)
 
 
 def g_suf(query: Query, cap: Optional[int] = None) -> ExplanationSet:
-    """Assignments none of whose extensions keeps x's class."""
-    space = query.space
-    candidates = (
-        e
-        for e in enumerate_partial_assignments(query.theory)
-        if not e.is_empty and not space.extending(e)
-    )
-    return collect("gSuf", candidates, cap)
+    """Assignments none of whose extensions keeps x's class (``MaskSpace.unextended``)."""
+    return collect("gSuf", query.space.unextended(), cap)
 
 
 def s_suf(query: Query, cap: Optional[int] = None) -> ExplanationSet:
-    """gSuf explanations sharing no literal with x."""
-    space = query.space
-    candidates = (
-        e
-        for e in novel_assignments(query.instance, min_size=1)
-        if not space.extending(e)
-    )
-    return collect("sSuf", candidates, cap)
+    """gSuf explanations sharing no literal with x: the same walk, on values other than x's."""
+    return collect("sSuf", query.space.unextended(query.instance), cap)
 
 
 def c_suf(query: Query, cap: Optional[int] = None) -> ExplanationSet:

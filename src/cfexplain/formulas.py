@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import math
 import re
-from functools import reduce
 from itertools import islice
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -200,37 +199,38 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-# The binary connectives, loosest first; a group keeps one operand list per
-# connective, and _JOIN[level] builds the node for that list.
+# The binary connectives, loosest first, and the node each builds.
 _BINARY = ("<->", "->", "|", "&")
-_JOIN: tuple[Callable[[list[Formula]], Formula], ...] = (
-    lambda ops: reduce(Iff, ops),
-    lambda ops: reduce(lambda right, left: Implies(left, right), reversed(ops)),
-    lambda ops: ops[0] if len(ops) == 1 else Or(*ops),
-    lambda ops: ops[0] if len(ops) == 1 else And(*ops),
-)
+_NODE = (Iff, Implies, Or, And)
 
 
-def _close(lists: list[list[Formula]], level: int) -> None:
-    """Join the operand lists of connectives tighter than ``level``, each
-    into one operand of the next looser one."""
-    for j in range(len(_BINARY) - 1, level, -1):
-        lists[j - 1].append(_JOIN[j](lists[j]))
-        lists[j] = []
-
-
-def _group(lists: list[list[Formula]]) -> Formula:
-    """The formula of a finished group."""
-    _close(lists, 0)
-    return _JOIN[0](lists[0])
+def _close(frames: list[tuple[int, list[Formula]]], f: Formula, level: int) -> Formula:
+    """f as the last operand of each open connective tighter than ``level``,
+    each joined into one operand of the next looser one: ``<->`` folds its
+    operands from the left, ``->`` from the right, and ``&`` and ``|`` are
+    one node each."""
+    while frames and frames[-1][0] > level:
+        tighter, ops = frames.pop()
+        if tighter > 1:
+            f = _NODE[tighter](*ops, f)
+        elif tighter:
+            for left in reversed(ops):
+                f = Implies(left, f)
+        else:
+            ops.append(f)
+            f = ops[0]
+            for right in ops[1:]:
+                f = Iff(f, right)
+    return f
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the grammar above without recursion: an open parenthesis saves
-    the current group (its operand lists and the ``!`` run before it) on a
-    stack, and the closing one turns the inner group into one operand."""
-    groups: list[tuple[list[list[Formula]], int]] = []
-    lists: list[list[Formula]] = [[] for _ in _BINARY]
+    """Parse the grammar above without recursion.  A group is a stack of its
+    open connectives, tightest last, each with its operands so far.  An open
+    parenthesis saves the current group (that stack and the ``!`` run before
+    it), and the closing one turns the inner group into one operand."""
+    groups: list[tuple[list[tuple[int, list[Formula]]], int]] = []
+    frames: list[tuple[int, list[Formula]]] = []
     nots = 0
     want_operand = True
     for k, token in enumerate(_tokenize(text)):  # character errors first
@@ -239,27 +239,31 @@ def parse_formula(text: str) -> Formula:
                 nots += 1
                 continue
             if token == "(":
-                groups.append((lists, nots))
-                lists, nots = [[] for _ in _BINARY], 0
+                groups.append((frames, nots))
+                frames, nots = [], 0
                 continue
             if not token or token in _SYMBOLS:
                 raise _error("expected a feature name, '!' or '('", text, k)
             f: Formula = Var(token)
         elif token in _BINARY:
-            _close(lists, _BINARY.index(token))
+            level = _BINARY.index(token)
+            f = _close(frames, f, level)
+            if frames and frames[-1][0] == level:
+                frames[-1][1].append(f)
+            else:
+                frames.append((level, [f]))
             want_operand = True
             continue
         elif token == ")" and groups:
-            f = _group(lists)
-            lists, nots = groups.pop()
+            f = _close(frames, f, -1)
+            frames, nots = groups.pop()
         elif not token and not groups:
-            return _group(lists)
+            return _close(frames, f, -1)
         else:
             message = "expected ')'" if groups else f"unexpected trailing {token!r}"
             raise _error(message, text, k)
         for _ in range(nots):
             f = Not(f)
-        lists[-1].append(f)
         nots = 0
         want_operand = False
     raise AssertionError("the token list ends with an end token")  # pragma: no cover

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.util
 import io
 import itertools
@@ -26,18 +27,7 @@ from cfexplain import (
     instance_of_rank,
     validate_theory,
 )
-from cfexplain.formulas import (
-    _BINARY,
-    And,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    ParseError,
-    Var,
-    _close,
-    _group,
-)
+from cfexplain.formulas import And, Iff, Implies, Not, Or, ParseError, Var
 from cfexplain.sat import SatOracle, SatSpace, find_exp, flip_within
 
 
@@ -195,8 +185,34 @@ def reference_tokenize(text: str):
     yield ("end", "", line, col)
 
 
+# The binary connectives, loosest first; a group keeps one operand list per
+# connective, and _JOIN[level] builds the node for that list.
+_BINARY = ("<->", "->", "|", "&")
+_JOIN = (
+    lambda ops: functools.reduce(Iff, ops),
+    lambda ops: functools.reduce(lambda right, left: Implies(left, right), reversed(ops)),
+    lambda ops: ops[0] if len(ops) == 1 else Or(*ops),
+    lambda ops: ops[0] if len(ops) == 1 else And(*ops),
+)
+
+
+def _close(lists, level: int) -> None:
+    """Join the operand lists of connectives tighter than ``level``, each
+    into one operand of the next looser one."""
+    for j in range(len(_BINARY) - 1, level, -1):
+        lists[j - 1].append(_JOIN[j](lists[j]))
+        lists[j] = []
+
+
+def _group(lists):
+    """The formula of a finished group."""
+    _close(lists, 0)
+    return _JOIN[0](lists[0])
+
+
 def reference_parse_formula(text: str):
-    """``parse_formula`` over ``reference_tokenize``'s positioned tokens."""
+    """The earlier ``parse_formula``, over ``reference_tokenize``'s
+    positioned tokens: each group keeps one operand list per connective."""
     groups = []
     lists = [[] for _ in _BINARY]
     nots = 0
@@ -558,6 +574,16 @@ def reference_oracle(ref, q: Query):
     ]
     table = ref.Table.from_labels([len(d) for d in theory.domains], labels)
     return ref.Oracle(table, q.instance.values)
+
+
+def reference_old_values(query: Query) -> list[PartialAssignment]:
+    """The old-values witness by its definition, { x \\ y : y of another
+    class }, in canonical order; every instance is classified."""
+    x, classify = query.instance, query.classifier.classify
+    found = {
+        x.difference(y) for y in enumerate_instances(query.theory) if classify(y) != query.label
+    }
+    return sorted(found, key=PartialAssignment.sort_key)
 
 
 def exhaustive_members(kind: str, query: Query):

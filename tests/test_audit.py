@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from cfexplain import (
     AXIOMS,
@@ -36,7 +37,13 @@ from cfexplain import (
 )
 
 from conftest import tool
-from helpers import load_reference, make_theory, reference_oracle
+from helpers import (
+    load_reference,
+    make_theory,
+    multiclass_table_queries,
+    reference_oracle,
+    reference_old_values,
+)
 
 
 AUDITED = (
@@ -350,6 +357,21 @@ def test_witness_explainers_shapes():
     ov = old_values(q)
     assert ov.count >= 1
     assert all(e.subset_of(q.instance) and not e.is_empty for e in ov)
+
+
+@given(multiclass_table_queries())
+@settings(max_examples=80, deadline=None)
+def test_old_values_are_the_parts_other_classes_overwrite(query):
+    ov = old_values(query)
+    assert list(ov) == reference_old_values(query) and not ov.truncated
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_old_values_on_the_fixtures(name):
+    bundle = load_bundle(name)
+    for r in range(bundle.theory.instance_count()):
+        q = Query(bundle.theory, bundle.classifier, instance_of_rank(bundle.theory, r))
+        assert list(old_values(q)) == reference_old_values(q)
 
 
 # -- the built-in suite ------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from cfexplain import (
     decide_exp,
     dist_cap,
     dist_min,
+    enumerate_partial_assignments,
     explanation_set_from_json,
     feat_min,
     find_exp,
@@ -26,9 +27,11 @@ from cfexplain import (
     is_derived_member,
     is_member,
     load_bundle,
+    old_values,
     s_nec,
     s_suf,
 )
+from cfexplain.classifier import ClassView, MaskSpace
 
 from helpers import (
     exhaustive_members,
@@ -230,9 +233,41 @@ def test_empty_never_explains():
 @given(table_queries())
 @settings(max_examples=30, deadline=None)
 def test_enumeration_matches_membership_filter(query):
+    """Each core listing is the canonical enumeration filtered by membership,
+    in that order, cut at the cap, truncated exactly when members are left."""
     for kind in CORE_KINDS:
-        got = frozenset(EXPLAIN[kind](query).explanations)
-        assert got == exhaustive_members(kind, query)
+        members = [
+            e for e in enumerate_partial_assignments(query.theory) if is_member(kind, query, e)
+        ]
+        assert frozenset(members) == exhaustive_members(kind, query)
+        for cap in (None, 1, 3):
+            got = EXPLAIN[kind](query, cap)
+            assert list(got) == members[:cap]
+            assert got.truncated == (cap is not None and len(members) > cap)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a per-candidate question was asked")
+
+
+@given(multiclass_table_queries())
+@settings(max_examples=30, deadline=None)
+def test_the_mask_walk_asks_no_question_per_candidate(query):
+    """gSuf, sSuf, sNec and old-values carry one mask down the walk: none
+    asks the space about a single candidate or lists the other instances."""
+    vacation = vac().query(2)
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in (
+            (ClassView, "mask_containing"),
+            (ClassView, "mask_residual"),
+            (MaskSpace, "extending"),
+            (MaskSpace, "variant"),
+            (MaskSpace, "others"),
+        ):
+            patch.setattr(owner, name, refuse)
+        for q in (vacation, query):
+            for listing in (g_suf, s_suf, s_nec, old_values):
+                listing(q)
 
 
 @given(table_queries())

@@ -414,6 +414,10 @@ def test_hundred_thousand_deep_and_wide_formulas():
     f = parse_formula(deep)
     assert f.atoms() == {"a"} and str(f) == deep
     assert tseitin(f, {"a": 1}) == ([], 1, 1)  # an even number of negations
+    nest = parse_formula("(" * WIDE + "a" + ")" * WIDE)
+    assert isinstance(nest, Var) and nest.name == "a"
+    nest = parse_formula("(" * WIDE + "a & b" + ")" * WIDE + " | c")
+    assert isinstance(nest, Or) and str(nest) == "a & b | c"
     names = [f"f{i % 12 + 1}" for i in range(WIDE)]
     wide = " & ".join(names)
     f = parse_formula(wide)
