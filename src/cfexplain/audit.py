@@ -186,15 +186,15 @@ _DETAILS = {
 
 def _violation(axiom: str, q: Query, offence) -> tuple[Optional[PartialAssignment], str]:
     """(witness, detail) for an explanation offered for q that fails the
-    axiom's test in ``AXIOM_TESTS``, whose answer was ``offence``."""
+    axiom's test in ``AXIOM_TESTS``, whose answer was ``offence``: for the
+    three validities, a mask on q's truth table, whose first instance is the
+    witness."""
     if axiom == "Coreness":
         core = core_literals(q.classifier, q.label)
         return None, f"not inside the class core ({core.render()})"
     witness = None
-    if axiom in ("ScepticalValidity", "StrongValidity"):  # a mask on q's truth table
+    if axiom in ("ScepticalValidity", "StrongValidity", "WeakValidity"):
         witness = instance_of_rank(q.theory, next(ranks_in(offence)))
-    elif axiom == "WeakValidity":  # the overwritten instance
-        witness = offence
     return witness, _DETAILS[axiom]
 
 

@@ -26,7 +26,7 @@ import io
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, dropwhile, product
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -390,17 +390,22 @@ class FormulaClassifier(Classifier):
 
     @staticmethod
     def from_text(text: str, theory: Theory) -> "FormulaClassifier":
-        """Parse the two-line format: ``classes: <true>,<false>`` + formula."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2 or not lines[0].lower().startswith("classes:"):
+        """Parse the format ``classes: <true>,<false>``, then the formula on
+        the following lines.  The formula is the lines after the header as
+        they stand, up to the last non-blank one, so a ParseError counts
+        lines from the line after the header."""
+        header, *body = [*dropwhile(lambda ln: not ln.strip(), text.splitlines())] or [""]
+        while body and not body[-1].strip():
+            body.pop()
+        if not body or not header.lower().startswith("classes:"):
             raise ClassifierError(
                 "expected 'classes: <true-class>,<false-class>' then the formula"
             )
-        spec = lines[0].split(":", 1)[1]
+        spec = header.split(":", 1)[1]
         labels = [part.strip() for part in spec.split(",")]
         if len(labels) != 2 or not all(labels):
             raise ClassifierError("classes line must name exactly two labels")
-        return FormulaClassifier(theory, " ".join(lines[1:]), labels[0], labels[1])
+        return FormulaClassifier(theory, "\n".join(body), labels[0], labels[1])
 
 
 class ClassView:
@@ -517,7 +522,10 @@ class MaskSpace:
         return self.cmask & ~self.view.mask_containing(e)
 
     def extending(self, e: PartialAssignment) -> int:
-        """The instances of the class that extend e."""
+        """The instances of the class that extend e; when e is an instance,
+        which extends only itself, e's bit of the class mask."""
+        if e.is_instance:
+            return self.cmask & 1 << rank_of(e)
         return self.view.mask_containing(e) & self.cmask
 
     def variant(self, x: PartialAssignment, e: PartialAssignment) -> int:

@@ -417,6 +417,16 @@ def _add_sat_flags(sub):
     )
 
 
+def _add_suite_flags(sub):
+    sub.add_argument(
+        "--budget",
+        type=non_negative_int,
+        default=1500,
+        help="generated-query budget (0 = every generated query)",
+    )
+    sub.add_argument("--seed", type=int, default=0, help="sampling seed")
+
+
 def non_negative_int(raw: str) -> int:
     """argparse type of the count flags (--cap, --budget), where 0 is a
     documented setting and a negative count is a usage error."""
@@ -501,13 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CMD",
         help="audit an external explainer command (line-JSON protocol)",
     )
-    p.add_argument(
-        "--budget",
-        type=non_negative_int,
-        default=1500,
-        help="generated-query budget (0 = every generated query)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    _add_suite_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_audit)
 
@@ -519,13 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="audit the compatibility witness explainers instead",
     )
-    p.add_argument(
-        "--budget",
-        type=non_negative_int,
-        default=1500,
-        help="generated-query budget (0 = every generated query)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    _add_suite_flags(p)
     p.set_defaults(func=cmd_witness)
 
     return parser

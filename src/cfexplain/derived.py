@@ -11,14 +11,11 @@ minimal in some sense:
               distance measure ("distMin");
 * dist_cap  — flips strictly under a distance threshold ("distCap").
 
-Assignments whose extra literals merely repeat values of x are normalized
-away before comparison: such literals are inert under overwriting, so each
-family is computed over genuinely novel assignments and its outputs are
-always credulous sufficient reasons.
-
 The flips are read off the truth table's Hamming-distance layers around x
 (``MaskSpace.flips``): layer k holds the other-class instances that differ
-from x on k features, and so the flips of size k.  A flip changes every
+from x on k features, and so the flips of size k.  Each flip keeps only the
+values its instance does not share with x, so it is novel by construction,
+and every output is a credulous sufficient reason.  A flip changes every
 feature it names, so its hamming distance is its size, and cardMin and
 hamming distMin are the nearest nonempty layer.  featMin keeps the flips
 with no smaller flip (``MaskSpace.smaller_flip``); distCap and weighted

@@ -122,15 +122,11 @@ def collect(
 # -- the axioms that judge one explanation, and the five families -----------------
 
 
-def _overwrite_keeps(space, query: Query, e: PartialAssignment) -> Optional[PartialAssignment]:
-    """x overwritten with e, if that instance keeps x's class."""
-    y = substitute(query.instance, e)
-    return y if query.classifier.classify(y) == query.label else None
-
-
 # Each test asks its one question of e, x and x's class (``space``: a
 # MaskSpace or a sat.SatSpace) and returns the offence: falsy when e passes,
-# else the witnesses the space found, the overwritten instance, or True.
+# else the witnesses the space found, or True.  WeakValidity is
+# StrongValidity asked of x overwritten by e, an instance that extends only
+# itself.
 AXIOM_TESTS: dict[str, Callable] = {
     "NonTriviality": lambda space, query, e: e.is_empty,
     "Feasibility": lambda space, query, e: not e.subset_of(query.instance),
@@ -138,7 +134,7 @@ AXIOM_TESTS: dict[str, Callable] = {
     "ScepticalValidity": lambda space, query, e: space.variant(query.instance, e),
     "Novelty": lambda space, query, e: not e.disjoint_from(query.instance),
     "StrongValidity": lambda space, query, e: space.extending(e),
-    "WeakValidity": _overwrite_keeps,
+    "WeakValidity": lambda space, query, e: space.extending(substitute(query.instance, e)),
 }
 
 # The representation theorems: each family is exactly the explanations that

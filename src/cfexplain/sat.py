@@ -13,6 +13,10 @@ search reduce to a handful of satisfiability calls instead of enumeration:
 * core — a class's core as a backbone, by the same scan, in at most n + 1
   calls.
 
+A question about one instance, which extends only itself, is one
+evaluation in ``SatSpace.extending`` and no call: WeakValidity, ``variant``,
+find's sSuf test and featMin's greedy shrink all ask it there.
+
 Every call is the classifier's cached CNF (``FormulaClassifier.encoding``),
 the class's literal as a unit, then the call's own units or counter.  The
 built-in solver indexes the cached CNF once per classifier
@@ -474,8 +478,9 @@ Witness = Optional[PartialAssignment]
 
 class SatSpace:
     """The instance space of one class of a formula classifier: each
-    question is one oracle call on the cached encoding (``variant`` one
-    evaluation), answered with one witness instance or None."""
+    question is one oracle call on the cached encoding, answered with one
+    witness instance or None; a question about one full instance is one
+    evaluation (``extending``)."""
 
     def __init__(self, classifier: FormulaClassifier, label: str, oracle: SatOracle):
         self.classifier, self.label, self.oracle = classifier, label, oracle
@@ -488,7 +493,10 @@ class SatSpace:
         return _class_model(self.classifier, self.own, self.oracle, [some])
 
     def extending(self, e: PartialAssignment) -> Witness:
-        """An instance of the class that extends e."""
+        """An instance of the class that extends e; when e is an instance,
+        which extends only itself, e if one evaluation puts it in the class."""
+        if e.is_instance:
+            return e if self.classifier.classify(e) == self.label else None
         units = [(_literal(i, v),) for i, v in e.indexed_literals()]
         return _class_model(self.classifier, self.own, self.oracle, units)
 
@@ -496,10 +504,7 @@ class SatSpace:
         """x with e's features flipped, if that keeps the class: the one
         instance differing from x exactly there (none when e is not part
         of x)."""
-        if not e.subset_of(x):
-            return None
-        y = flip_within(x, e.feature_positions())
-        return y if self.classifier.classify(y) == self.label else None
+        return self.extending(flip_within(x, e.feature_positions())) if e.subset_of(x) else None
 
     def smaller_flip(self, x: PartialAssignment, e: PartialAssignment) -> Witness:
         """An instance of the other class equal to x outside Feat(e) and on
@@ -552,43 +557,40 @@ def find_exp(
     """
     classifier = _require_formula(query.classifier)
     oracle = oracle if oracle is not None else SatOracle()
+    space = SatSpace(classifier, query.label, oracle)
     x = query.instance
-    label = query.label
-    own = classifier.class_literal(label)
     n = query.theory.n_features
 
     if kind == "sSuf":
         # if any sceptical sufficient reason exists, the full complement is one
         xbar = complement_instance(x)
-        if classifier.classify(xbar) != label:
-            return xbar
-        return None
+        return None if space.extending(xbar) else xbar
 
     if kind == "cSuf":
-        return _class_instance(classifier, -own, oracle).difference(x)
+        return _class_instance(classifier, -space.own, oracle).difference(x)
 
     if kind == "gSuf":
-        return _class_instance(classifier, -own, oracle)
+        return _class_instance(classifier, -space.own, oracle)
 
     if kind == "sNec":
-        return x.difference(_class_instance(classifier, -own, oracle))
+        return x.difference(_class_instance(classifier, -space.own, oracle))
 
     if kind == "gNec":
         # the first literal of x in the core of x's class
-        return next(_core_scan(SatSpace(classifier, label, oracle), x), None)
+        return next(_core_scan(space, x), None)
 
     if kind == "featMin":
-        y = _class_instance(classifier, -own, oracle)
+        y = _class_instance(classifier, -space.own, oracle)
         positions = list(y.difference(x).feature_positions())
         # greedy one-feature shrinking, evaluation only
         for i in list(positions):
             rest = [p for p in positions if p != i]
-            if rest and classifier.classify(flip_within(x, rest)) != label:
+            if rest and not space.extending(flip_within(x, rest)):
                 positions = rest
         return flip_within(x, _first_flipping_subset(query, positions)).difference(x)
 
     if kind == "cardMin" or (kind == "distMin" and distance is hamming):
-        return _smallest_flip(query, n, oracle)
+        return _smallest_flip(space, x, n)
 
     if kind == "distMin":
         return _closest_flip(query, distance, math.inf)
@@ -597,7 +599,7 @@ def find_exp(
         check_tau(tau)
         if distance is hamming:  # distances are integers and the threshold strict
             bound = n if math.isinf(tau) else min(n, math.ceil(tau) - 1)
-            return _smallest_flip(query, bound, oracle)
+            return _smallest_flip(space, x, bound)
         return _closest_flip(query, distance, tau)
 
     raise ValueError(f"unknown explainer kind {kind!r}")
@@ -636,13 +638,12 @@ def _first_flipping_subset(query: Query, positions: Sequence[int]) -> tuple[int,
     raise AssertionError("greedy shrink lost the flip")  # pragma: no cover
 
 
-def _smallest_flip(query: Query, top: int, oracle: SatOracle) -> Optional[PartialAssignment]:
+def _smallest_flip(space: SatSpace, x: PartialAssignment, top: int) -> Optional[PartialAssignment]:
     """Iterative deepening on flip size up to `top`; one oracle call per size tried."""
-    space = SatSpace(query.classifier, query.label, oracle)
     for k in range(1, top + 1):
-        y = space.within(query.instance, k)
+        y = space.within(x, k)
         if y is not None:
-            return y.difference(query.instance)
+            return y.difference(x)
     return None
 
 

@@ -163,7 +163,7 @@ class PartialAssignment:
 
     ``values[i]`` is the domain position of feature i's value, or None when
     the feature is unassigned.  An assignment covering every feature is an
-    instance; ``Instance`` is an alias used in signatures for readability.
+    instance.
     """
 
     theory: Theory
@@ -285,9 +285,6 @@ class PartialAssignment:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.render()
-
-
-Instance = PartialAssignment  # an assignment covering every feature
 
 
 def as_instance(a: PartialAssignment) -> PartialAssignment:

@@ -586,6 +586,14 @@ def reference_old_values(query: Query) -> list[PartialAssignment]:
     return sorted(found, key=PartialAssignment.sort_key)
 
 
+def reference_weak_validity(query: Query, e: PartialAssignment) -> bool:
+    """Does e fail Weak Validity, by its definition: x overwritten by e keeps
+    x's class, classified directly."""
+    from cfexplain import substitute
+
+    return query.classifier.classify(substitute(query.instance, e)) == query.label
+
+
 def exhaustive_members(kind: str, query: Query):
     """Reference explanation set computed by filtering the full enumeration."""
     from cfexplain import enumerate_partial_assignments, is_member

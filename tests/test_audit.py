@@ -30,11 +30,14 @@ from cfexplain import (
     g_nec,
     impossibility_witness,
     instance_of_rank,
+    is_derived_member,
+    is_member,
     load_bundle,
     old_values,
     profile_inconsistencies,
     s_nec,
 )
+from cfexplain.audit import generated_probe_queries
 
 from conftest import tool
 from helpers import (
@@ -372,6 +375,35 @@ def test_old_values_on_the_fixtures(name):
     for r in range(bundle.theory.instance_count()):
         q = Query(bundle.theory, bundle.classifier, instance_of_rank(bundle.theory, r))
         assert list(old_values(q)) == reference_old_values(q)
+
+
+# -- the validities read the truth table ------------------------------------------------------
+
+
+def test_the_validity_checks_classify_nothing(monkeypatch):
+    """Weak Validity asks x's class on the truth table, as Strong and
+    Sceptical Validity do: once each query's class is known, auditing the
+    flip explainers and old-values, and deciding membership of the flips,
+    classify no instance."""
+    queries = [*load_bundle("vacation").queries(), *generated_probe_queries()[::25]]
+    for q in queries:
+        assert q.label  # x's own class, classified once and kept
+
+    def refuse(self, x):
+        raise AssertionError("an instance was classified")
+
+    monkeypatch.setattr(TableClassifier, "classify", refuse)
+    for name in ("cSuf", "featMin", "cardMin", "distMin"):
+        audit(EXPLAINERS[name], queries, name=name)
+    # old-values offers parts of x, so x itself is the Weak Validity witness
+    cx = audit(old_values, queries).verdict("WeakValidity").counterexample
+    assert cx.witness == cx.query.instance
+    for q in queries:
+        for e in c_suf(q):
+            assert is_member("cSuf", q, e)
+            assert is_derived_member("distCap", q, e, tau=e.size + 1)
+            for kind in ("featMin", "cardMin", "distMin"):
+                is_derived_member(kind, q, e)
 
 
 # -- the built-in suite ------------------------------------------------------------------------

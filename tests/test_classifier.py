@@ -36,7 +36,7 @@ from cfexplain import classifier as classifier_module
 from cfexplain import sat
 from cfexplain.audit import generated_probe_queries
 from cfexplain.classifier import ranks_in
-from cfexplain.formulas import And, Or, Var
+from cfexplain.formulas import And, Or, ParseError, Var
 from helpers import (
     make_theory,
     multiclass_table_queries,
@@ -303,6 +303,31 @@ def test_formula_classifier_validates_classes():
         FormulaClassifier(t, "f1", "c1", "zzz")
     with pytest.raises(ClassifierError):
         FormulaClassifier(t, "f1", "c1", "c1")
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("classes: c1,c0\n\nf1 &\n& f2\n", "(line 3, column 1)"),
+        ("\nclasses: c1,c0\r\nf1 &\r\n\r\n& f2", "(line 3, column 1)"),
+        ("classes: c1,c0\nf1 & (f2  \n\n  \n", "(line 1, column 11)"),
+        ("classes: c1,c0\nf1\n| f2 $\n", "(line 2, column 6)"),
+    ],
+    ids=["blank-line", "crlf", "trailing-blank-lines", "bad-character"],
+)
+def test_formula_file_parse_errors_count_lines_after_the_header(text, where):
+    """A formula file's formula is parsed as it stands after the classes
+    line: its blank lines count, and the end of the text is the end of its
+    last non-blank line."""
+    with pytest.raises(ParseError) as exc:
+        FormulaClassifier.from_text(text, make_theory([2, 2]))
+    assert str(exc.value).endswith(where)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "classes: c1,c0", "classes: c1,c0\n \n\n"])
+def test_formula_file_without_a_formula_is_a_classifier_error(text):
+    with pytest.raises(ClassifierError, match="then the formula"):
+        FormulaClassifier.from_text(text, make_theory([2, 2]))
 
 
 def test_formula_requires_boolean_atoms_from_theory():

@@ -28,10 +28,13 @@ from cfexplain import (
     is_member,
     load_bundle,
     old_values,
+    rank_of,
     s_nec,
     s_suf,
+    substitute,
 )
 from cfexplain.classifier import ClassView, MaskSpace
+from cfexplain.explain import AXIOM_TESTS
 
 from helpers import (
     exhaustive_members,
@@ -42,6 +45,7 @@ from helpers import (
     random_novel,
     random_subset_of,
     reference_oracle,
+    reference_weak_validity,
     table_queries,
 )
 
@@ -268,6 +272,20 @@ def test_the_mask_walk_asks_no_question_per_candidate(query):
         for q in (vacation, query):
             for listing in (g_suf, s_suf, s_nec, old_values):
                 listing(q)
+
+
+@given(multiclass_table_queries(max_features=4))
+@settings(max_examples=40, deadline=None)
+def test_weak_validity_on_tables_is_its_definition(query):
+    """Weak Validity asks x's class on the truth table whether x overwritten
+    by e keeps it; the offence is that one instance's mask, and its verdict
+    is the definition's."""
+    for e in enumerate_partial_assignments(query.theory):
+        offence = AXIOM_TESTS["WeakValidity"](query.space, query, e)
+        if reference_weak_validity(query, e):
+            assert offence == 1 << rank_of(substitute(query.instance, e))
+        else:
+            assert offence == 0
 
 
 @given(table_queries())

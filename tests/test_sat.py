@@ -39,12 +39,14 @@ from cfexplain import (
     is_derived_member,
     is_member,
     load_bundle,
+    rank_of,
     substitute,
     weighted_distance,
 )
 from cfexplain import classifier as classifier_module
 from cfexplain import formulas as formulas_module
 from cfexplain import sat as sat_module
+from cfexplain.classifier import ranks_in
 from cfexplain.explain import AXIOM_TESTS
 from cfexplain.formulas import evaluate, parse_formula, tseitin
 from cfexplain.sat import ClauseIndex, IndexedClauses, SatSpace, _class_model
@@ -63,6 +65,7 @@ from helpers import (
     reference_dpll,
     reference_featmin,
     reference_gnec,
+    reference_weak_validity,
     rule_list,
 )
 
@@ -335,6 +338,40 @@ def test_sat_space_answers_as_the_mask_space():
                 assert bool(masks.smaller_flip(x, e)) == flip, where
             for axiom, test in AXIOM_TESTS.items():
                 assert bool(test(masks, q, e)) == bool(test(sat, q, e)), (axiom, *where)
+
+
+def test_sufficiency_of_a_full_instance_is_one_evaluation():
+    """An instance extends only itself, so deciding gSuf or sSuf of one
+    evaluates the formula once and asks no oracle, on every majority
+    instance and on random boolean formulas."""
+    m = load_bundle("majority")
+    rng = random.Random(25)
+    queries = [Query(m.theory, m.classifier, y) for y in enumerate_instances(m.theory)]
+    queries += [random_boolean_query(rng, rng.randint(1, 6)) for _ in range(30)]
+    for q in queries:
+        for y in enumerate_instances(q.theory):
+            for kind in ("gSuf", "sSuf"):
+                oracle = SatOracle()
+                assert decide_exp(kind, q, y, oracle=oracle) == is_member(kind, q, y)
+                assert oracle.calls == 0, (kind, q.instance.render(), y.render())
+
+
+def test_weak_validity_on_formulas_is_its_definition():
+    """Weak Validity asks either space whether x overwritten by e keeps x's
+    class; the offence is that one instance, and its verdict is the
+    definition's, on every majority instance and on random formulas."""
+    m = load_bundle("majority")
+    rng = random.Random(31)
+    queries = [Query(m.theory, m.classifier, y) for y in enumerate_instances(m.theory)]
+    queries += [random_boolean_query(rng, n) for n in (1, 2, 3, 4, 5, 5)]
+    weak = AXIOM_TESTS["WeakValidity"]
+    for q in queries:
+        sat = SatSpace(q.classifier, q.label, SatOracle())
+        for e in enumerate_partial_assignments(q.theory):
+            y, fails = substitute(q.instance, e), reference_weak_validity(q, e)
+            assert list(ranks_in(weak(q.space, q, e))) == ([rank_of(y)] if fails else [])
+            assert weak(sat, q, e) == (y if fails else None)
+        assert sat.oracle.calls == 0
 
 
 @pytest.mark.parametrize("tau", [-1.0, math.nan])
