@@ -36,11 +36,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .bundles import load_bundle
+from .bundles import load_bundle, unique_keys
 from .classifier import (
     Query,
     TableClassifier,
-    class_view,
     core_literals,
     ranks_in,
 )
@@ -149,9 +148,7 @@ def _outputs(
 
 def _equivalence_key(q: Query) -> tuple:
     # identify the classification function extensionally, not by object
-    view = class_view(q.classifier)
-    table = tuple(view.class_mask(c) for c in q.theory.classes)
-    return (q.theory, table, q.label)
+    return (q.theory, q.classifier.view.table, q.label)
 
 
 def _check_equivalence(outputs) -> Optional[Counterexample]:
@@ -219,9 +216,10 @@ def _first_violations(
             success = False
         if not (out.count and pending):
             continue
+        space = q.space
         for e in out:
             for axiom in tuple(pending):
-                offence = AXIOM_TESTS[axiom](q.space, q, e)
+                offence = AXIOM_TESTS[axiom](space, q, e)
                 if offence:
                     witness, detail = _violation(axiom, q, offence)
                     found[axiom] = Counterexample(q, e, witness, detail=detail)
@@ -777,7 +775,7 @@ class ExternalExplainer:
         if not line:
             raise ExternalExplainerFailure("explainer closed its output")
         try:
-            raw = json.loads(line)
+            raw = json.loads(line, object_pairs_hook=unique_keys)
             return explanation_set_from_json(raw, query)
         except (ValueError, KeyError, TypeError) as exc:
             raise ExternalExplainerFailure(

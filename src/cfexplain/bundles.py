@@ -28,22 +28,36 @@ from .theory import PartialAssignment, Theory, validate_theory
 FIXTURES = ("vacation", "bitcount", "corner", "majority")
 
 
-def _json_loads(text: str, what: str) -> object:
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict (``json.loads``' ``object_pairs_hook``).
+    A repeated key raises ValueError, where a plain dict keeps its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} is repeated")
+    return obj
+
+
+def read_json(text: str, what: str) -> object:
+    """The JSON value of a user's input; malformed JSON and a repeated key
+    raise ParseError, naming ``what`` was read."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {what}: {exc.msg}", exc.lineno, exc.colno)
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON in {what}: {exc}") from None
 
 
 def load_theory_text(text: str) -> Theory:
-    raw = _json_loads(text, "theory")
+    raw = read_json(text, "theory")
     if not isinstance(raw, Mapping):
         raise ParseError("theory file must hold a JSON object")
     return validate_theory(raw)
 
 
 def load_instance_text(text: str, theory: Theory) -> PartialAssignment:
-    raw = _json_loads(text, "instance")
+    raw = read_json(text, "instance")
     if not isinstance(raw, Mapping):
         raise ParseError("instance file must hold a JSON object")
     return PartialAssignment.from_dict(theory, raw)

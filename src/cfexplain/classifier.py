@@ -414,6 +414,8 @@ class ClassView:
     Bit r of every mask talks about the instance of rank r:
     ``value_masks[i][v]`` has bit r set when that instance gives feature i its
     v-th value, and ``class_masks[c]`` where the classifier answers c.
+    ``table`` is the class masks in the theory's class order, which
+    identifies the classification function.
     """
 
     def __init__(self, classifier: Classifier):
@@ -433,6 +435,7 @@ class ClassView:
                 [_tile(run << (v * stride), period, n_rows) for v in range(len(domain))]
             )
         self.class_masks = classifier._class_masks(self)
+        self.table = tuple(map(self.class_mask, theory.classes))
 
     def class_mask(self, c: str) -> int:
         try:
@@ -527,6 +530,19 @@ class MaskSpace:
         if e.is_instance:
             return self.cmask & 1 << rank_of(e)
         return self.view.mask_containing(e) & self.cmask
+
+    def overwritten(self, query: Query, e: PartialAssignment) -> int:
+        """x overwritten by e, if it is in the class: its bit of the class
+        mask.  Its rank is x's plus (v - x_i) * stride_i for each literal
+        (i, v) of e, so no instance is built."""
+        x = query.instance
+        if e.theory is not x.theory and e.theory != x.theory:
+            raise TheoryMismatch("operands belong to different theories")
+        r = query.rank
+        for v, xv, stride in zip(e.values, x.values, x.theory.strides):
+            if v is not None:
+                r += (v - xv) * stride
+        return self.cmask & 1 << r
 
     def variant(self, x: PartialAssignment, e: PartialAssignment) -> int:
         """The instances of the class differing from x exactly on e's
@@ -724,6 +740,11 @@ class Query:
     def label(self) -> str:
         """x's class, classified once (the fields are frozen)."""
         return self.classifier.classify(self.instance)
+
+    @cached_property
+    def rank(self) -> int:
+        """x's rank, taken once."""
+        return rank_of(self.instance)
 
     @cached_property
     def space(self) -> MaskSpace:

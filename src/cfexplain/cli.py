@@ -40,6 +40,7 @@ from .bundles import (
     load_classifier_text,
     load_instance_text,
     load_theory_text,
+    read_json,
 )
 from .classifier import (
     ClassifierError,
@@ -106,7 +107,7 @@ def _distance(args, theory):
     if spec == "hamming":
         return hamming
     if spec.startswith("weighted:"):
-        return weighted_distance(json.loads(_read(spec[len("weighted:"):])), theory)
+        return weighted_distance(read_json(_read(spec[len("weighted:"):]), "weights"), theory)
     raise ValueError(
         f"unknown distance {spec!r} (expected 'hamming' or 'weighted:<file>')"
     )
@@ -156,7 +157,7 @@ def _ingest(args) -> Query:
 
 def _parse_assignment(raw: str, theory) -> PartialAssignment:
     text = _read(raw[1:]) if raw.startswith("@") else raw
-    mapping = json.loads(text)
+    mapping = read_json(text, "explanation")
     if not isinstance(mapping, dict):
         raise ParseError("--explanation must hold a JSON object")
     return PartialAssignment.from_dict(theory, mapping)

@@ -126,7 +126,8 @@ def collect(
 # MaskSpace or a sat.SatSpace) and returns the offence: falsy when e passes,
 # else the witnesses the space found, or True.  WeakValidity is
 # StrongValidity asked of x overwritten by e, an instance that extends only
-# itself.
+# itself (``overwritten``): a MaskSpace reads its bit at x's cached rank
+# plus e's offsets, building no instance, and a SatSpace evaluates it.
 AXIOM_TESTS: dict[str, Callable] = {
     "NonTriviality": lambda space, query, e: e.is_empty,
     "Feasibility": lambda space, query, e: not e.subset_of(query.instance),
@@ -134,7 +135,7 @@ AXIOM_TESTS: dict[str, Callable] = {
     "ScepticalValidity": lambda space, query, e: space.variant(query.instance, e),
     "Novelty": lambda space, query, e: not e.disjoint_from(query.instance),
     "StrongValidity": lambda space, query, e: space.extending(e),
-    "WeakValidity": lambda space, query, e: space.extending(substitute(query.instance, e)),
+    "WeakValidity": lambda space, query, e: space.overwritten(query, e),
 }
 
 # The representation theorems: each family is exactly the explanations that

@@ -54,7 +54,7 @@ from .classifier import (
 )
 from .explain import DistanceMeasure, check_tau, membership
 from .formulas import Clause, Formula, Not, evaluate_bitwise, tseitin, to_dimacs
-from .theory import PartialAssignment, Theory, hamming
+from .theory import PartialAssignment, Theory, hamming, substitute
 
 
 class NotBoolean(ValueError):
@@ -499,6 +499,10 @@ class SatSpace:
             return e if self.classifier.classify(e) == self.label else None
         units = [(_literal(i, v),) for i, v in e.indexed_literals()]
         return _class_model(self.classifier, self.own, self.oracle, units)
+
+    def overwritten(self, query: Query, e: PartialAssignment) -> Witness:
+        """x overwritten by e, if one evaluation puts it in the class."""
+        return self.extending(substitute(query.instance, e))
 
     def variant(self, x: PartialAssignment, e: PartialAssignment) -> Witness:
         """x with e's features flipped, if that keeps the class: the one

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -216,7 +217,7 @@ class PartialAssignment:
 
     @property
     def is_empty(self) -> bool:
-        return all(v is None for v in self.values)
+        return self.values.count(None) == len(self.values)
 
     def feature_positions(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v is not None)
@@ -381,8 +382,7 @@ def subsets_of(
 
 def rank_of(x: PartialAssignment) -> int:
     as_instance(x)
-    s = x.theory.strides
-    return sum(v * s[i] for i, v in enumerate(x.values))
+    return sum(map(operator.mul, x.values, x.theory.strides))
 
 
 def instance_of_rank(theory: Theory, rank: int) -> PartialAssignment:

@@ -35,9 +35,13 @@ from cfexplain import (
     load_bundle,
     old_values,
     profile_inconsistencies,
+    rank_of,
     s_nec,
 )
+from cfexplain import classifier as classifier_module
+from cfexplain import explain as explain_module
 from cfexplain.audit import generated_probe_queries
+from cfexplain.explain import AXIOM_TESTS
 
 from conftest import tool
 from helpers import (
@@ -404,6 +408,25 @@ def test_the_validity_checks_classify_nothing(monkeypatch):
             assert is_derived_member("distCap", q, e, tau=e.size + 1)
             for kind in ("featMin", "cardMin", "distMin"):
                 is_derived_member(kind, q, e)
+
+
+def test_weak_validity_on_the_truth_table_builds_no_instance(monkeypatch):
+    """A MaskSpace answers Weak Validity from x's rank, taken once, plus e's
+    offsets: it neither builds x overwritten by e nor ranks an instance."""
+    queries = [*load_bundle("vacation").queries(), *generated_probe_queries()[::25]]
+    members = [(q, e) for q in queries for e in c_suf(q)]
+    for q in queries:
+        assert q.rank == rank_of(q.instance)  # x's rank, taken once and kept
+
+    def refuse(*args):
+        raise AssertionError("an instance was built or ranked")
+
+    monkeypatch.setattr(explain_module, "substitute", refuse)
+    monkeypatch.setattr(classifier_module, "substitute", refuse)
+    monkeypatch.setattr(classifier_module, "rank_of", refuse)
+    weak = AXIOM_TESTS["WeakValidity"]
+    assert len(members) > len(queries)
+    assert not any(weak(q.space, q, e) for q, e in members)
 
 
 # -- the built-in suite ------------------------------------------------------------------------

@@ -392,7 +392,8 @@ def test_explanations_that_are_not_objects_are_a_bad_response(capsys, shape):
     ("truncated", "truncated must be true or false, not 'no'"),
     ("kind", "kind must be a string, not ['a']"),
     ("twice", "explanation {} is listed twice"),
-], ids=["truncated", "kind", "twice"])
+    ("repeated", "key 'explanations' is repeated"),
+], ids=["truncated", "kind", "twice", "repeated"])
 def test_responses_that_would_be_misread_are_a_bad_response(capsys, shape, reason):
     code, out, err = run_cli(
         capsys,
@@ -644,6 +645,66 @@ def test_non_object_explanation_fails_cleanly(capsys, raw):
     ]
 
 
+# -- JSON inputs: a repeated key is an error, not a silent read of its last value --
+
+
+@pytest.mark.parametrize("which", ["theory", "instance"])
+def test_a_repeated_key_in_a_json_file_fails_cleanly(capsys, tmp_path, vacation_files, which):
+    theory_text = fixture_text("vacation", "theory.json").lstrip()
+    texts = {  # read with the last value, each would run and exit 0
+        "theory": '{"features": [{"name": "t", "domain": ["hot", "mild"]}], ' + theory_text[1:],
+        "instance": '{"t": "hot", "t": "mild", "a": "reading"}',
+    }
+    bad = tmp_path / "repeated.json"
+    bad.write_text(texts[which])
+    files = {"theory": vacation_files["theory.json"], "instance": vacation_files["x1.json"]}
+    files[which] = str(bad)
+    code, out, err = run_cli(
+        capsys,
+        "explain",
+        "--theory", files["theory"],
+        "--classifier", vacation_files["classifier.csv"],
+        "--instance", files["instance"],
+        "--kind", "gnec",
+    )
+    key = {"theory": "features", "instance": "t"}[which]
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: ParseError: invalid JSON in {which}: key {key!r} is repeated"]
+
+
+@pytest.mark.parametrize("raw, reason", [
+    ('{"t": "hot", "t": "mild"}', "key 't' is repeated"),
+    ('{"t": "hot" "a": "reading"}', "Expecting ',' delimiter (line 1, column 13)"),
+], ids=["repeated", "malformed"])
+def test_a_bad_json_explanation_fails_cleanly(capsys, tmp_path, raw, reason):
+    at_file = tmp_path / "e.json"
+    at_file.write_text(raw)
+    for spec in (raw, f"@{at_file}"):
+        code, out, err = run_cli(
+            capsys,
+            "decide", "--fixture", "vacation", "--query", "1",
+            "--kind", "cSuf", "--explanation", spec,
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: ParseError: invalid JSON in explanation: {reason}"]
+
+
+@pytest.mark.parametrize("raw, reason", [
+    ('{"t": 1, "t": 5, "a": 2}', "key 't' is repeated"),
+    ('{"t": 1 "a": 2}', "Expecting ',' delimiter (line 1, column 9)"),
+], ids=["repeated", "malformed"])
+def test_a_bad_json_weights_file_fails_cleanly(capsys, tmp_path, raw, reason):
+    weights = tmp_path / "w.json"
+    weights.write_text(raw)
+    code, out, err = run_cli(
+        capsys,
+        "explain", "--fixture", "vacation", "--query", "1",
+        "--kind", "distmin", "--distance", f"weighted:{weights}",
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: ParseError: invalid JSON in weights: {reason}"]
+
+
 def test_incomplete_custom_input_reports_missing_flags(capsys, vacation_files):
     code, out, err = run_cli(
         capsys,
@@ -830,6 +891,20 @@ def test_deep_formula_text_needs_no_recursion(capsys, tmp_path, formula, code):
 
 
 # -- console script -----------------------------------------------------------------
+
+
+def test_python_m_cfexplain_runs_from_a_checkout():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfexplain", "explain", "--fixture", "vacation",
+         "--query", "1", "--kind", "gNec"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["explanations"] == [{"t": "hot"}]
 
 
 def test_console_script_end_to_end():

@@ -288,6 +288,12 @@ def test_weak_validity_on_tables_is_its_definition(query):
             assert offence == 0
 
 
+@given(multiclass_table_queries(max_features=4))
+@settings(max_examples=40, deadline=None)
+def test_a_query_keeps_its_instance_rank(query):
+    assert query.rank == rank_of(query.instance)
+
+
 @given(table_queries())
 @settings(max_examples=30, deadline=None)
 def test_family_inclusions(query):

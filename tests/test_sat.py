@@ -21,6 +21,7 @@ from cfexplain import (
     PartialAssignment,
     Query,
     SatOracle,
+    TheoryMismatch,
     UnknownClass,
     at_most_k,
     class_indicator,
@@ -372,6 +373,23 @@ def test_weak_validity_on_formulas_is_its_definition():
             assert list(ranks_in(weak(q.space, q, e))) == ([rank_of(y)] if fails else [])
             assert weak(sat, q, e) == (y if fails else None)
         assert sat.oracle.calls == 0
+
+
+def test_weak_validity_of_a_foreign_explanation_is_a_theory_mismatch():
+    """Either space refuses an e of another theory with as many features,
+    as building x overwritten by e does."""
+    tables, formulas = load_bundle("vacation").query(1), load_bundle("majority").query(1)
+    weak = AXIOM_TESTS["WeakValidity"]
+    spaces = [
+        (tables.space, tables),
+        (formulas.space, formulas),
+        (SatSpace(formulas.classifier, formulas.label, SatOracle()), formulas),
+    ]
+    for space, q in spaces:
+        n = q.theory.n_features
+        foreign = PartialAssignment(make_theory([2] * n), (1,) + (None,) * (n - 1))
+        with pytest.raises(TheoryMismatch):
+            weak(space, q, foreign)
 
 
 @pytest.mark.parametrize("tau", [-1.0, math.nan])

@@ -6,6 +6,7 @@
     listy_explainer.py truncated  answers "truncated": "no"
     listy_explainer.py kind       answers "kind": ["a"]
     listy_explainer.py twice      answers the blank explanation twice
+    listy_explainer.py repeated   answers "explanations" twice, the last one empty
 """
 
 import json
@@ -18,6 +19,8 @@ RESPONSES = {
     "kind": {"kind": ["a"], "explanations": []},
     "twice": {"kind": "x", "explanations": [{}, {}]},
 }
+RESPONSES = {shape: json.dumps(response) for shape, response in RESPONSES.items()}
+RESPONSES["repeated"] = '{"kind": "x", "explanations": [{"t": "hot"}], "explanations": []}'
 
 
 def main() -> int:
@@ -26,7 +29,7 @@ def main() -> int:
         if not line.strip():
             continue
         json.loads(line)  # must be a well-formed query
-        sys.stdout.write(json.dumps(response) + "\n")
+        sys.stdout.write(response + "\n")
         sys.stdout.flush()
     return 0
 
