@@ -777,7 +777,7 @@ class ExternalExplainer:
         try:
             raw = json.loads(line, object_pairs_hook=unique_keys)
             return explanation_set_from_json(raw, query)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ExternalExplainerFailure(
                 f"bad response line: {line.strip()!r} ({exc})"
             ) from exc

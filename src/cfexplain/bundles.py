@@ -39,14 +39,17 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def read_json(text: str, what: str) -> object:
-    """The JSON value of a user's input; malformed JSON and a repeated key
-    raise ParseError, naming ``what`` was read."""
+    """The JSON value of a user's input; malformed JSON, a repeated key and
+    nesting deeper than the decoder recurses raise ParseError, naming
+    ``what`` was read."""
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {what}: {exc.msg}", exc.lineno, exc.colno)
     except ValueError as exc:
         raise ParseError(f"invalid JSON in {what}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"invalid JSON in {what}: nested too deeply") from None
 
 
 def load_theory_text(text: str) -> Theory:

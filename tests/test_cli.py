@@ -407,6 +407,19 @@ def test_responses_that_would_be_misread_are_a_bad_response(capsys, shape, reaso
     assert err.endswith(f"({reason})\n") and err.count("\n") == 1
 
 
+def test_a_deeply_nested_response_is_a_bad_response(capsys):
+    code, out, err = run_cli(
+        capsys,
+        *audit_args(
+            "--explainer", "constant-blank",
+            "--external", sys.executable, tool("listy_explainer.py"), "deep",
+        ),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ExternalExplainerFailure: bad response line: ")
+    assert "recursion" in err and err.count("\n") == 1
+
+
 def test_a_stalled_external_explainer_is_killed(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sys.modules["cfexplain.audit"], "RESPONSE_SECONDS", 0.5)
     pid_file = tmp_path / "pid"
@@ -647,6 +660,8 @@ def test_non_object_explanation_fails_cleanly(capsys, raw):
 
 # -- JSON inputs: a repeated key is an error, not a silent read of its last value --
 
+DEEP = 100_000  # nesting past any recursion limit of the JSON decoder
+
 
 @pytest.mark.parametrize("which", ["theory", "instance"])
 def test_a_repeated_key_in_a_json_file_fails_cleanly(capsys, tmp_path, vacation_files, which):
@@ -675,7 +690,8 @@ def test_a_repeated_key_in_a_json_file_fails_cleanly(capsys, tmp_path, vacation_
 @pytest.mark.parametrize("raw, reason", [
     ('{"t": "hot", "t": "mild"}', "key 't' is repeated"),
     ('{"t": "hot" "a": "reading"}', "Expecting ',' delimiter (line 1, column 13)"),
-], ids=["repeated", "malformed"])
+    ("[" * DEEP + "]" * DEEP, "nested too deeply"),
+], ids=["repeated", "malformed", "deep"])
 def test_a_bad_json_explanation_fails_cleanly(capsys, tmp_path, raw, reason):
     at_file = tmp_path / "e.json"
     at_file.write_text(raw)
@@ -692,7 +708,8 @@ def test_a_bad_json_explanation_fails_cleanly(capsys, tmp_path, raw, reason):
 @pytest.mark.parametrize("raw, reason", [
     ('{"t": 1, "t": 5, "a": 2}', "key 't' is repeated"),
     ('{"t": 1 "a": 2}', "Expecting ',' delimiter (line 1, column 9)"),
-], ids=["repeated", "malformed"])
+    ('{"t": ' * DEEP + "1" + "}" * DEEP, "nested too deeply"),
+], ids=["repeated", "malformed", "deep"])
 def test_a_bad_json_weights_file_fails_cleanly(capsys, tmp_path, raw, reason):
     weights = tmp_path / "w.json"
     weights.write_text(raw)

@@ -7,6 +7,7 @@
     listy_explainer.py kind       answers "kind": ["a"]
     listy_explainer.py twice      answers the blank explanation twice
     listy_explainer.py repeated   answers "explanations" twice, the last one empty
+    listy_explainer.py deep       answers an array nested 100,000 deep
 """
 
 import json
@@ -21,6 +22,7 @@ RESPONSES = {
 }
 RESPONSES = {shape: json.dumps(response) for shape, response in RESPONSES.items()}
 RESPONSES["repeated"] = '{"kind": "x", "explanations": [{"t": "hot"}], "explanations": []}'
+RESPONSES["deep"] = "[" * 100_000 + "]" * 100_000
 
 
 def main() -> int:
